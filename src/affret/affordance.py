@@ -9,6 +9,7 @@ lossless while similarity is pure cosine.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DimensionError
 from .lexicon import Lexicon
@@ -57,6 +58,12 @@ def normalize_av(av: AffordanceVector) -> AffordanceVector:
     norm = math.hypot(*av)
     if norm == 0.0:
         return [0.0] * len(av)
+    if norm < sys.float_info.min:
+        # A subnormal norm has lost precision (hypot(5e-324, 5e-324) is
+        # 5e-324), so rescale by the largest component and measure again.
+        peak = max(map(abs, av))
+        av = [v / peak for v in av]
+        norm = math.hypot(*av)
     return [v / norm for v in av]
 
 

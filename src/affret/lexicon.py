@@ -8,13 +8,21 @@ File format, one topic per line, ``#`` comments allowed:
 ``*`` marks the single catch-all topic whose count is the number of token
 occurrences matching no other topic. Topic order is significant: element i of
 every affordance vector refers to topic i for the life of a case base.
+
+Matching is compiled: on first use every topic's terms go into one table
+from token n-gram to the ids of the topics holding it, so a block is matched
+against all topics in one pass over its tokens. Each topic keeps its own
+cursor and therefore its own greedy, longest-phrase-first reading of the
+block; a hash table of n-grams stands in for an Aho-Corasick automaton
+because lexicon phrases are only a few tokens long.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import InputError, LexiconFormatError
@@ -31,19 +39,65 @@ class Topic:
     name: str
     terms: frozenset[str]
     miscellaneous: bool = False
-    # n-gram lookup tables keyed by phrase length, built on first use
-    _ngrams: dict[int, set[tuple[str, ...]]] | None = field(
-        default=None, repr=False, compare=False
-    )
 
-    def ngrams(self) -> dict[int, set[tuple[str, ...]]]:
-        if self._ngrams is None:
-            table: dict[int, set[tuple[str, ...]]] = {}
-            for term in self.terms:
-                toks = _term_tokens(term)
-                table.setdefault(len(toks), set()).add(toks)
-            self._ngrams = table
-        return self._ngrams
+
+class _PhraseTable:
+    """A topic list compiled for one-pass matching.
+
+    ``phrases`` maps each term's token tuple to the ids of the topics holding
+    it; ``lengths`` maps a term's first token to the distinct lengths of the
+    terms starting with it, longest first, so a token that starts no term
+    costs one lookup.
+    """
+
+    __slots__ = ("width", "misc", "phrases", "lengths")
+
+    def __init__(self, topics: list[Topic]):
+        self.width = len(topics)
+        self.misc = [i for i, t in enumerate(topics) if t.miscellaneous]
+        owners: dict[tuple[str, ...], list[int]] = {}
+        for i, topic in enumerate(topics):
+            # a set, so two spellings of one term count once per topic
+            for toks in {_term_tokens(term) for term in topic.terms}:
+                owners.setdefault(toks, []).append(i)
+        # a term without word characters can never match a token
+        owners.pop((), None)
+        self.phrases = owners
+        self.lengths = {}
+        for toks in sorted(owners, key=len, reverse=True):
+            lengths = self.lengths.setdefault(toks[0], [])
+            if len(toks) not in lengths:
+                lengths.append(len(toks))
+
+    def counts(self, tokens: list[str]) -> list[int]:
+        folded = [t.casefold() for t in tokens]
+        n = len(folded)
+        counts = [0] * self.width
+        # position at which each topic's own greedy scan resumes
+        cursor = [0] * self.width
+        consumed = bytearray(n)
+        phrases, starts = self.phrases, self.lengths
+        for i, tok in enumerate(folded):
+            lengths = starts.get(tok)
+            if lengths is None:
+                continue
+            for length in lengths:
+                end = i + length
+                if end > n:
+                    continue
+                ids = phrases.get(tuple(folded[i:end]))
+                if ids is None:
+                    continue
+                for t in ids:
+                    if cursor[t] <= i:
+                        counts[t] += 1
+                        cursor[t] = end
+                        consumed[i:end] = b"\x01" * length
+        if self.misc:
+            unmatched = n - consumed.count(1)
+            for t in self.misc:
+                counts[t] = unmatched
+        return counts
 
 
 @dataclass
@@ -74,6 +128,10 @@ class Lexicon:
         """Stable hash binding a case base to this exact lexicon."""
         return hashlib.sha256(serialize_lexicon(self).encode("utf-8")).hexdigest()
 
+    @cached_property
+    def _table(self) -> _PhraseTable:
+        return _PhraseTable(self.topics)
+
     def match_counts(self, tokens: list[str]) -> list[int]:
         """Per-topic matched-occurrence counts for an already tokenized text.
 
@@ -82,36 +140,7 @@ class Lexicon:
         miscellaneous topic counts the token occurrences no named topic
         matched.
         """
-        folded = [t.casefold() for t in tokens]
-        counts = [0] * len(self.topics)
-        matched_anywhere: set[int] = set()
-        for i, topic in enumerate(self.topics):
-            if topic.miscellaneous:
-                continue
-            count, consumed = _scan(folded, topic.ngrams())
-            counts[i] = count
-            matched_anywhere |= consumed
-        for i, topic in enumerate(self.topics):
-            if topic.miscellaneous:
-                counts[i] = len(folded) - len(matched_anywhere)
-        return counts
-
-
-def _scan(tokens: list[str], ngrams: dict[int, set[tuple[str, ...]]]) -> tuple[int, set[int]]:
-    lengths = sorted(ngrams, reverse=True)
-    count = 0
-    consumed: set[int] = set()
-    i = 0
-    while i < len(tokens):
-        for length in lengths:
-            if i + length <= len(tokens) and tuple(tokens[i : i + length]) in ngrams[length]:
-                count += 1
-                consumed.update(range(i, i + length))
-                i += length
-                break
-        else:
-            i += 1
-    return count, consumed
+        return self._table.counts(tokens)
 
 
 def match_count(tokens: list[str], topic: Topic, lexicon: Lexicon | None = None) -> int:
@@ -125,8 +154,7 @@ def match_count(tokens: list[str], topic: Topic, lexicon: Lexicon | None = None)
             raise InputError("miscellaneous match_count needs the owning lexicon")
         index = next(i for i, t in enumerate(lexicon.topics) if t.miscellaneous)
         return lexicon.match_counts(tokens)[index]
-    count, _ = _scan([t.casefold() for t in tokens], topic.ngrams())
-    return count
+    return _PhraseTable([topic]).counts(tokens)[0]
 
 
 def _canonical_terms(raw_terms: str, topic_name: str) -> frozenset[str]:

@@ -25,6 +25,7 @@ signal used to drop navigational blocks.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
@@ -190,8 +191,10 @@ def _render(segments, include_linked: bool) -> str:
 
 
 def _count_visible(segments, linked: bool) -> int:
+    # regex \s and str.isspace agree on every code point, so stripping
+    # whitespace runs counts exactly the characters that are not whitespace
     return sum(
-        len(text) - sum(ch.isspace() for ch in text)
+        len(_WS_RUN.sub("", text))
         for text, is_linked in segments
         if text != BREAK_MARK and is_linked == linked
     )
@@ -249,21 +252,52 @@ def extract_block_text(block: Block, threshold: float = 0.5) -> str:
 
 def _collapse_repeated_phrases(tokens: list[str], min_len: int = 3) -> list[str]:
     # Immediately repeated phrase of >= min_len tokens collapses to one
-    # occurrence; longest candidates first, rescanning until stable.
-    changed = True
-    while changed:
-        changed = False
-        for length in range(len(tokens) // 2, min_len - 1, -1):
-            for i in range(len(tokens) - 2 * length + 1):
-                first = [t.casefold() for t in tokens[i : i + length]]
-                second = [t.casefold() for t in tokens[i + length : i + 2 * length]]
-                if first == second:
-                    del tokens[i + length : i + 2 * length]
-                    changed = True
-                    break
-            if changed:
-                break
+    # occurrence: longest first, leftmost among equals, rescanning until
+    # stable. Comparison is case-folded; the kept copy keeps its casing.
+    folded = [t.casefold() for t in tokens]
+    while (square := _longest_square(folded, min_len)) is not None:
+        start, length = square
+        del tokens[start + length : start + 2 * length]
+        del folded[start + length : start + 2 * length]
     return tokens
+
+
+def _longest_square(folded: list[str], min_len: int) -> tuple[int, int] | None:
+    """Start and length of the longest, then leftmost, ``ww`` with ``|w| >= min_len``.
+
+    A square of length L starting at i repeats its first ``min_len``-gram at
+    i + L, so only shifts between two equal grams can be square lengths: a
+    list with no repeated gram is settled in O(n). Each candidate length L
+    costs one O(n) pass for the leftmost run of L positions j with
+    ``folded[j] == folded[j + L]``. When the equal-gram pairs outnumber the
+    tokens, every length is a candidate instead, which bounds a scan by
+    O(n^2) comparisons.
+    """
+    n = len(folded)
+    grams: dict[tuple[str, ...], list[int]] = {}
+    for i, gram in enumerate(zip(*(folded[k:] for k in range(min_len)))):
+        grams.setdefault(gram, []).append(i)
+    groups = [positions for positions in grams.values() if len(positions) > 1]
+    if not groups:
+        return None
+    longest = n // 2
+    if sum(len(p) * (len(p) - 1) // 2 for p in groups) > n:
+        lengths = range(longest, min_len - 1, -1)
+    else:
+        shifts = set()
+        for positions in groups:
+            for a, first in enumerate(positions):
+                for second in positions[a + 1 :]:
+                    if second - first > longest:
+                        break
+                    shifts.add(second - first)
+        lengths = sorted((s for s in shifts if s >= min_len), reverse=True)
+    for length in lengths:
+        equal = bytes(map(operator.eq, folded, folded[length:]))
+        start = equal.find(b"\x01" * length)
+        if start >= 0:
+            return start, length
+    return None
 
 
 def dedupe_sentences(text: str) -> str:

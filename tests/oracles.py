@@ -1,0 +1,82 @@
+"""Reference implementations that the fast build-path code is checked against.
+
+Each is the straightforward version of an algorithm the package implements
+faster; tests require the two to agree exactly.
+"""
+
+from __future__ import annotations
+
+import re
+
+
+def collapse_repeated_phrases(tokens: list[str], min_len: int = 3) -> list[str]:
+    """Reference for ``segmenter._collapse_repeated_phrases``: O(n^3) per scan.
+
+    Tries every phrase length, longest first, at every offset, leftmost
+    first; deletes the second copy of the first immediate repeat found and
+    starts over until no repeat is left.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for length in range(len(tokens) // 2, min_len - 1, -1):
+            for i in range(len(tokens) - 2 * length + 1):
+                first = [t.casefold() for t in tokens[i : i + length]]
+                second = [t.casefold() for t in tokens[i + length : i + 2 * length]]
+                if first == second:
+                    del tokens[i + length : i + 2 * length]
+                    changed = True
+                    break
+            if changed:
+                break
+    return tokens
+
+
+def scan(tokens: list[str], ngrams: dict[int, set[tuple[str, ...]]]) -> tuple[int, set[int]]:
+    """Reference greedy matcher for one topic: longest phrase first at each position.
+
+    ``ngrams`` maps phrase length to the topic's phrases of that length.
+    Returns the match count and the consumed token positions.
+    """
+    lengths = sorted(ngrams, reverse=True)
+    count = 0
+    consumed: set[int] = set()
+    i = 0
+    while i < len(tokens):
+        for length in lengths:
+            if i + length <= len(tokens) and tuple(tokens[i : i + length]) in ngrams[length]:
+                count += 1
+                consumed.update(range(i, i + length))
+                i += length
+                break
+        else:
+            i += 1
+    return count, consumed
+
+
+def topic_ngrams(terms) -> dict[int, set[tuple[str, ...]]]:
+    """A topic's terms as case-folded token tuples keyed by length."""
+    table: dict[int, set[tuple[str, ...]]] = {}
+    for term in terms:
+        toks = tuple(re.findall(r"[^\W_]+", term.casefold()))
+        table.setdefault(len(toks), set()).add(toks)
+    return table
+
+
+def match_counts(tokens: list[str], lexicon) -> list[int]:
+    """Reference ``Lexicon.match_counts``: one ``scan`` per named topic.
+
+    The miscellaneous topic counts the positions no named topic consumed.
+    """
+    folded = [t.casefold() for t in tokens]
+    counts = [0] * len(lexicon.topics)
+    matched_anywhere: set[int] = set()
+    for i, topic in enumerate(lexicon.topics):
+        if topic.miscellaneous:
+            continue
+        counts[i], consumed = scan(folded, topic_ngrams(topic.terms))
+        matched_anywhere |= consumed
+    for i, topic in enumerate(lexicon.topics):
+        if topic.miscellaneous:
+            counts[i] = len(folded) - len(matched_anywhere)
+    return counts

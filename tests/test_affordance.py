@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affret import (
@@ -107,6 +107,7 @@ class TestCosine:
 
 class TestProperties:
     @given(nonneg_vectors)
+    @example([5e-324, 5e-324])
     @settings(max_examples=200, deadline=None)
     def test_norm_contract(self, av):
         if not any(av):

@@ -18,6 +18,8 @@ from affret import (
     serialize_lexicon,
 )
 
+import oracles
+
 TOPIC_NAMES_17 = [
     "Beaches", "Hiking", "Wildlife", "Museums", "Spirituality", "Accommodation",
     "Food", "Shopping", "Nightlife", "Transport", "Sports", "Festivals",
@@ -159,6 +161,28 @@ def tokens_and_lexicon(draw):
     return tokens, Lexicon(topics=topics)
 
 
+@st.composite
+def phrase_lexicon_and_tokens(draw):
+    """Overlapping multi-word terms, some shared between topics, plus a catch-all."""
+    vocab = ["a", "b", "c", "d", "e"]
+    phrase = st.lists(st.sampled_from(vocab), min_size=1, max_size=4).map(" ".join)
+    shared = draw(st.lists(phrase, min_size=1, max_size=3))
+    topics = []
+    for i in range(draw(st.integers(min_value=1, max_value=5))):
+        own = draw(st.lists(phrase, max_size=5))
+        picked = draw(st.lists(st.sampled_from(shared), max_size=2))
+        terms = frozenset(own + picked) or frozenset(shared)
+        if draw(st.booleans()):
+            # an upper-case spelling of a term the topic already has
+            terms |= {next(iter(terms)).upper()}
+        topics.append(Topic(name=f"T{i}", terms=terms))
+    if draw(st.booleans()):
+        at = draw(st.integers(min_value=0, max_value=len(topics)))
+        topics.insert(at, Topic(name="Misc", terms=frozenset(), miscellaneous=True))
+    tokens = draw(st.lists(st.sampled_from(vocab + ["A", "B", "zz"]), max_size=40))
+    return tokens, Lexicon(topics=topics)
+
+
 class TestProperties:
     @given(tokens_and_lexicon())
     @settings(max_examples=200, deadline=None)
@@ -178,6 +202,15 @@ class TestProperties:
         before = lex.match_counts(tokens)
         after = lex.match_counts(tokens + [extra])
         assert all(b >= a for a, b in zip(before, after))
+
+    @given(phrase_lexicon_and_tokens())
+    @settings(max_examples=200, deadline=None)
+    def test_compiled_matcher_matches_per_topic_scans(self, pair):
+        tokens, lex = pair
+        expected = oracles.match_counts(tokens, lex)
+        assert lex.match_counts(tokens) == expected
+        for i, topic in enumerate(lex.topics):
+            assert match_count(tokens, topic, lex) == expected[i]
 
     @given(tokens_and_lexicon())
     @settings(max_examples=100, deadline=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,9 @@ from affret import (
     segment_blocks,
     tokenize,
 )
+from affret.segmenter import _collapse_repeated_phrases, _count_visible
 
+import oracles
 from conftest import fuzz_html
 
 MARKUP_LEAK = re.compile(r"<[a-zA-Z/!]")
@@ -184,6 +187,42 @@ class TestDedupeSentences:
             assert dedupe_sentences(once) == once
 
 
+@st.composite
+def tokens_with_repeats(draw):
+    """Tokens over a small mixed-case alphabet, with phrases repeated in place."""
+    alphabet = draw(st.sampled_from([["a", "A", "b"], ["x", "y"], ["p", "q", "Q", "r", "s", "t"]]))
+    tokens = draw(st.lists(st.sampled_from(alphabet), max_size=40))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if not tokens:
+            break
+        start = draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+        phrase = tokens[start : start + draw(st.integers(min_value=1, max_value=8))]
+        copy = [t.swapcase() if draw(st.booleans()) else t for t in phrase]
+        tokens[start + len(phrase) : start + len(phrase)] = copy
+    return tokens
+
+
+class TestCollapseRepeatedPhrases:
+    @given(tokens_with_repeats(), st.sampled_from([3, 3, 1, 2, 4]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, tokens, min_len):
+        expected = oracles.collapse_repeated_phrases(list(tokens), min_len)
+        assert _collapse_repeated_phrases(list(tokens), min_len) == expected
+
+    def test_longest_repeat_collapses_first(self):
+        # collapsing the 3-token repeat first would leave five tokens
+        assert _collapse_repeated_phrases("A a a a a a a a".split()) == ["A", "a", "a", "a"]
+
+    def test_leftmost_repeat_collapses_first(self):
+        # collapsing the rightmost 3-token repeat first would leave six tokens
+        tokens = "a b A a a a a a B A a b".split()
+        assert _collapse_repeated_phrases(tokens) == ["a", "b", "A", "a", "b"]
+
+    def test_no_repeated_trigram_is_unchanged(self):
+        tokens = [f"w{i}" for i in range(5000)]
+        assert _collapse_repeated_phrases(list(tokens)) == tokens
+
+
 class TestTokenize:
     def test_stop_words_removed(self):
         assert tokenize("The Taj Mahal") == ["taj", "mahal"]
@@ -229,6 +268,19 @@ class _VisibleCounter:
         p.feed(markup)
         p.close()
         self.count = p.count
+
+
+class TestVisibleCharacterCount:
+    def test_regex_whitespace_agrees_with_isspace_on_every_code_point(self):
+        # _count_visible strips regex whitespace; the counts it gives equal the
+        # per-character isspace count only because the two classes coincide
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", text) == [ch for ch in text if ch.isspace()]
+
+    def test_counts_non_whitespace_by_anchor_state(self):
+        segments = (("a\u00a0b\u2003", False), ("\tlink  text", True), ("\n", False))
+        assert _count_visible(segments, linked=False) == 2
+        assert _count_visible(segments, linked=True) == 8
 
 
 class TestFuzzProperties:
