@@ -73,9 +73,15 @@ def cosine_sim(a: AffordanceVector, b: AffordanceVector) -> float:
     For the non-negative vectors produced by counting, the result lies in
     [0, 1]; tiny float excess is clamped.
     """
-    if len(a) != len(b):
-        raise DimensionError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    na = normalize_av(a)
-    nb = normalize_av(b)
-    dot = sum(x * y for x, y in zip(na, nb))
+    return cosine_to_unit(normalize_av(a), b)
+
+
+def cosine_to_unit(unit: AffordanceVector, b: AffordanceVector) -> float:
+    """``cosine_sim(a, b)`` given ``unit = normalize_av(a)``, bit for bit.
+
+    Lets a caller comparing one vector with many normalize it once.
+    """
+    if len(unit) != len(b):
+        raise DimensionError(f"dimension mismatch: {len(unit)} vs {len(b)}")
+    dot = sum(x * y for x, y in zip(unit, normalize_av(b)))
     return min(max(dot, 0.0), 1.0)

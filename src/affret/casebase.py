@@ -376,6 +376,17 @@ def revise_case_affordance(case: Case, query_av: AffordanceVector, eta: float) -
     if eta == 0.0:
         return case
     direction = normalize_av(query_av)
-    scale = eta * math.hypot(*case.av_revised)
-    case.av_revised = [round12(v + scale * d) for v, d in zip(case.av_revised, direction)]
+    revised = _step(case.av_revised, direction, eta)
+    if not all(map(math.isfinite, revised)):
+        # Repeated aligned feedback grows the vector geometrically until it
+        # overflows. Only its direction is ever read (through cosine), and
+        # the step is scale-invariant, so shrink it to a peak of 1 first.
+        peak = max(map(abs, case.av_revised))
+        revised = _step([v / peak for v in case.av_revised], direction, eta)
+    case.av_revised = revised
     return case
+
+
+def _step(av: AffordanceVector, direction: AffordanceVector, eta: float) -> AffordanceVector:
+    scale = eta * math.hypot(*av)
+    return [round12(v + scale * d) for v, d in zip(av, direction)]

@@ -13,15 +13,25 @@ baseline ordering exactly.
 All term iteration during score summation is in sorted order: float addition
 is not associative, and a fixed order is what makes ranking byte-stable
 across runs and worker counts.
+
+Stage one runs term at a time. The first query that uses a term fills the
+index's scoring entry for it: the term's posting ordinals and each posting's
+contribution ``tf * idf^2 * norm``, the same expression evaluated in the same
+order as ``baseline_score``, so the same float. A query adds the entries of
+its terms, in sorted term order, into per-ordinal sums, which is the order
+in which ``baseline_score`` adds a case's matched terms. Selection keeps the
+scores at or above the k-th largest (so ties at the cut survive), sorts only
+those, and builds candidates for the k it returns.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .affordance import AffordanceVector, cosine_sim
+from .affordance import AffordanceVector, cosine_to_unit, normalize_av
 from .casebase import Case, CaseBase, selection_idf
 from .errors import CaseBaseBuildError, InputError
 
@@ -44,10 +54,29 @@ class InvertedIndex:
     n_cases: int
     ordinals: dict[str, int]
     case_tfs: list[dict[str, int]]
+    # term -> (posting ordinals, tf * idf^2 * norm per posting), filled by
+    # scoring_entry on a term's first query; stale if the postings change.
+    # Threads filling one term at once store equal entries.
+    _entries: dict[str, tuple[list[int], list[float]]] = field(default_factory=dict, repr=False, compare=False)
 
     def idf(self, term: str) -> float:
         df = len(self.postings.get(term, ()))
         return 1.0 + math.log(self.n_cases / (df + 1.0))
+
+    def scoring_entry(self, term: str) -> tuple[list[int], list[float]] | None:
+        """The term's posting ordinals and score contributions; None for an unindexed term."""
+        entry = self._entries.get(term)
+        if entry is None:
+            postings = self.postings.get(term)
+            if not postings:
+                return None
+            idf_sq = self.idf(term) ** 2
+            norms = self.doc_norms
+            entry = self._entries[term] = (
+                [ordinal for ordinal, _ in postings],
+                [tf * idf_sq * norms[ordinal] for ordinal, tf in postings],
+            )
+        return entry
 
 
 class Candidate(NamedTuple):
@@ -83,13 +112,16 @@ def build_index(cb: CaseBase) -> InvertedIndex:
     case_tfs: list[dict[str, int]] = []
     ordinals: dict[str, int] = {}
     doc_norms: list[float] = []
+    idfs: dict[str, float] = {}
     for ordinal, case in enumerate(cb.cases):
         ordinals[case.doc_id] = ordinal
         doc_norms.append(1.0 / math.sqrt(len(case.prob_desc)))
         tfs: dict[str, int] = {}
-        for term in sorted(case.prob_desc):
-            tf = max(1, round(case.prob_desc[term] / selection_idf(term, cb.corpus_stats)))
-            tfs[term] = tf
+        for term, weight in case.prob_desc.items():
+            idf = idfs.get(term)
+            if idf is None:
+                idf = idfs[term] = selection_idf(term, cb.corpus_stats)
+            tf = tfs[term] = max(1, round(weight / idf))
             postings.setdefault(term, []).append((ordinal, tf))
         case_tfs.append(tfs)
     return InvertedIndex(
@@ -124,29 +156,33 @@ def retrieve_top_k(q_tokens: list[str], index: InvertedIndex, cb: CaseBase, k: i
 
     Only cases with a nonzero score qualify, so fewer than k candidates may
     come back. Ties break by ascending doc_id. Equivalent to scoring every
-    case directly and sorting.
+    case with ``baseline_score`` and sorting, bit for bit.
     """
     if k < 1:
         raise InputError("k must be >= 1")
     q_terms = sorted(set(q_tokens))
     if not q_terms:
         return []
-    sums: dict[int, float] = {}
-    matches: dict[int, int] = {}
+    sums = [0.0] * index.n_cases
+    matches = [0] * index.n_cases
+    touched: set[int] = set()
     for t in q_terms:
-        postings = index.postings.get(t)
-        if not postings:
+        entry = index.scoring_entry(t)
+        if entry is None:
             continue
-        idf_sq = index.idf(t) ** 2
-        for ordinal, tf in postings:
-            sums[ordinal] = sums.get(ordinal, 0.0) + tf * idf_sq * index.doc_norms[ordinal]
-            matches[ordinal] = matches.get(ordinal, 0) + 1
-    scored = [
-        Candidate(case=cb.cases[ordinal], baseline_score=(matches[ordinal] / len(q_terms)) * total)
-        for ordinal, total in sums.items()
-    ]
-    scored.sort(key=lambda c: (-c.baseline_score, c.case.doc_id))
-    return scored[:k]
+        term_ordinals, contributions = entry
+        touched.update(term_ordinals)
+        for ordinal, contribution in zip(term_ordinals, contributions):
+            sums[ordinal] += contribution
+            matches[ordinal] += 1
+    n_terms = len(q_terms)
+    scores = {ordinal: (matches[ordinal] / n_terms) * sums[ordinal] for ordinal in touched}
+    if len(scores) > k:
+        cut = heapq.nlargest(k, scores.values())[-1]
+        scores = {ordinal: score for ordinal, score in scores.items() if score >= cut}
+    cases = cb.cases
+    ranked = sorted(scores, key=lambda ordinal: (-scores[ordinal], cases[ordinal].doc_id))
+    return [Candidate(case=cases[ordinal], baseline_score=scores[ordinal]) for ordinal in ranked[:k]]
 
 
 def rerank(
@@ -170,10 +206,11 @@ def rerank(
     scores = [c.baseline_score for c in candidates]
     lo, hi = min(scores), max(scores)
     span = hi - lo
+    query_unit = normalize_av(query_av)
     entries = []
     for i, cand in enumerate(candidates):
         av = cand.case.av_revised if use_revised else cand.case.av
-        cosine = cosine_sim(query_av, av)
+        cosine = cosine_to_unit(query_unit, av)
         norm_baseline = (cand.baseline_score - lo) / span if span > 0 else 0.0
         entries.append(
             ResultEntry(

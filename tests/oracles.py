@@ -1,4 +1,4 @@
-"""Reference implementations that the fast build-path code is checked against.
+"""Reference implementations that the fast build and query code is checked against.
 
 Each is the straightforward version of an algorithm the package implements
 faster; tests require the two to agree exactly.
@@ -7,6 +7,8 @@ faster; tests require the two to agree exactly.
 from __future__ import annotations
 
 import re
+
+from affret import Candidate, InputError
 
 
 def collapse_repeated_phrases(tokens: list[str], min_len: int = 3) -> list[str]:
@@ -80,3 +82,32 @@ def match_counts(tokens: list[str], lexicon) -> list[int]:
         if topic.miscellaneous:
             counts[i] = len(folded) - len(matched_anywhere)
     return counts
+
+
+def retrieve_top_k(q_tokens: list[str], index, cb, k: int) -> list:
+    """Reference ``retrieval.retrieve_top_k``: per-query dict accumulators, full sort.
+
+    Sums ``tf * idf^2 * norm`` per case over the posting lists in sorted term
+    order, builds a candidate for every case touched and sorts them all.
+    """
+    if k < 1:
+        raise InputError("k must be >= 1")
+    q_terms = sorted(set(q_tokens))
+    if not q_terms:
+        return []
+    sums: dict[int, float] = {}
+    matches: dict[int, int] = {}
+    for t in q_terms:
+        postings = index.postings.get(t)
+        if not postings:
+            continue
+        idf_sq = index.idf(t) ** 2
+        for ordinal, tf in postings:
+            sums[ordinal] = sums.get(ordinal, 0.0) + tf * idf_sq * index.doc_norms[ordinal]
+            matches[ordinal] = matches.get(ordinal, 0) + 1
+    scored = [
+        Candidate(case=cb.cases[ordinal], baseline_score=(matches[ordinal] / len(q_terms)) * total)
+        for ordinal, total in sums.items()
+    ]
+    scored.sort(key=lambda c: (-c.baseline_score, c.case.doc_id))
+    return scored[:k]

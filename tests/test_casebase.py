@@ -20,6 +20,7 @@ from affret import (
     Topic,
     build_case,
     compute_block_affordance,
+    cosine_sim,
     dedupe_sentences,
     extract_block_text,
     load_case_base,
@@ -330,3 +331,29 @@ class TestReviseCaseAffordance:
         revise_case_affordance(short, [0.0, 1.0], eta=0.5)
         revise_case_affordance(long, [0.0, 1.0], eta=0.5)
         assert long.av_revised[1] == pytest.approx(10 * short.av_revised[1])
+
+    def test_endless_aligned_feedback_stays_finite(self, small_case_base, tmp_path):
+        case = small_case_base.cases[0]
+        query_av = [1.0, 2.0, 0.0]
+        plain = list(case.av_revised)
+        for _ in range(5000):
+            revise_case_affordance(case, query_av, eta=0.5)
+            if plain is not None:
+                # the unguarded step, kept while it stays finite
+                scale = 0.5 * math.hypot(*plain)
+                unit = [v / math.hypot(*query_av) for v in query_av]
+                plain = [round12(v + scale * d) for v, d in zip(plain, unit)]
+                if all(map(math.isfinite, plain)):
+                    assert case.av_revised == plain
+                else:
+                    plain = None
+            assert all(map(math.isfinite, case.av_revised))
+            assert 0.0 <= cosine_sim(query_av, case.av_revised) <= 1.0
+        assert plain is None, "5000 revisions no longer reach the overflow"
+        assert cosine_sim(query_av, case.av_revised) == pytest.approx(1.0)
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_case_base(small_case_base, first)
+        loaded = load_case_base(first)
+        assert loaded.cases[0].av_revised == case.av_revised
+        save_case_base(loaded, second)
+        assert first.read_bytes() == second.read_bytes()

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affret import (
     BuildConfig,
@@ -15,13 +18,19 @@ from affret import (
     CaseBaseBuildError,
     CorpusStats,
     InputError,
+    Lexicon,
+    Topic,
     baseline_score,
     build_index,
+    cosine_sim,
     populate_case_base,
     rerank,
     retrieve_top_k,
+    round12,
+    selection_idf,
 )
 
+import oracles
 from conftest import TOURISM_WORDS, write_corpus
 
 
@@ -76,6 +85,32 @@ class TestBuildIndex:
         cb = corpus_cb(tmp_path, lexicon3, {"d.html": "<p>beach sand temple gardens</p>"})
         index = build_index(cb)
         assert index.doc_norms[0] == pytest.approx(1 / math.sqrt(4))
+
+    def test_description_insertion_order_is_irrelevant(self, small_case_base):
+        shuffled = CaseBase(
+            lexicon_fingerprint=small_case_base.lexicon_fingerprint,
+            cases=[
+                Case(
+                    doc_id=c.doc_id,
+                    prob_desc=dict(reversed(c.prob_desc.items())),
+                    av=c.av,
+                    av_revised=c.av_revised,
+                )
+                for c in small_case_base.cases
+            ],
+            corpus_stats=small_case_base.corpus_stats,
+            lexicon=small_case_base.lexicon,
+            config=small_case_base.config,
+        )
+        assert any(list(c.prob_desc) != sorted(c.prob_desc) for c in shuffled.cases)
+        index, shuffled_index = build_index(small_case_base), build_index(shuffled)
+        assert shuffled_index == index
+        for query in (["beach"], ["beach", "temple", "sand", "walk"]):
+            got = retrieve_top_k(query, shuffled_index, shuffled, 5)
+            expected = retrieve_top_k(query, index, small_case_base, 5)
+            assert [(c.case.doc_id, c.baseline_score) for c in got] == [
+                (c.case.doc_id, c.baseline_score) for c in expected
+            ]
 
 
 class TestBaselineScore:
@@ -154,6 +189,92 @@ class TestRetrieveTopK:
             ]
             expected.sort(key=lambda c: (-c.baseline_score, c.case.doc_id))
             assert retrieve_top_k(query, index, cb, k) == expected[:k]
+
+
+VOCAB = ["beach", "sand", "temple", "trail", "curry", "ferry"]
+QUERY_WORDS = VOCAB + ["unknown", "zzz"]
+MISC_ONLY = Lexicon(topics=[Topic(name="Miscellaneous", terms=frozenset(), miscellaneous=True)])
+
+
+def case_base_of(descriptions: list[dict[str, int]], doc_ids: list[str]) -> CaseBase:
+    """A case base whose cases hold the given term counts, weighted as a build weights them."""
+    stats = CorpusStats(df=dict(Counter(t for d in descriptions for t in d)), n_cases=len(descriptions))
+    cases = [
+        Case(
+            doc_id=doc_id,
+            prob_desc={t: round12(tf * selection_idf(t, stats)) for t, tf in sorted(desc.items())},
+            av=[1.0],
+            av_revised=[1.0],
+        )
+        for doc_id, desc in zip(doc_ids, descriptions)
+    ]
+    return CaseBase(
+        lexicon_fingerprint=MISC_ONLY.fingerprint(),
+        cases=cases,
+        corpus_stats=stats,
+        lexicon=MISC_ONLY,
+        config=BuildConfig(),
+    )
+
+
+@st.composite
+def tied_case_bases(draw):
+    """Cases drawn from a few distinct descriptions (so exact score ties are
+    common), in an ordinal order unrelated to doc_id order."""
+    templates = draw(
+        st.lists(
+            st.dictionaries(st.sampled_from(VOCAB), st.integers(1, 3), min_size=1, max_size=4),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    descriptions = draw(st.lists(st.sampled_from(templates), min_size=1, max_size=16))
+    doc_ids = draw(st.permutations([f"d{i:02d}" for i in range(len(descriptions))]))
+    return case_base_of(descriptions, doc_ids)
+
+
+def identities(pool):
+    return [(id(c.case), c.baseline_score) for c in pool]
+
+
+class TestRetrieveMatchesOracle:
+    @given(
+        tied_case_bases(),
+        st.lists(st.sampled_from(QUERY_WORDS), min_size=1, max_size=6),
+        st.integers(1, 20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference_retrieval(self, cb, query, k):
+        index = build_index(cb)
+        for k_ in (1, k, len(cb.cases) + 3):
+            expected = identities(oracles.retrieve_top_k(query, index, cb, k_))
+            # a fresh index fills its scoring entries; ``index`` reuses them after the first k
+            assert identities(retrieve_top_k(query, build_index(cb), cb, k_)) == expected
+            assert identities(retrieve_top_k(query, index, cb, k_)) == expected
+
+    def test_ties_across_the_cut_keep_lowest_doc_ids(self):
+        doc_ids = [f"d{i:02d}" for i in range(12)]
+        descriptions = [{"beach": 1}] * 12
+        cb = case_base_of(descriptions, list(reversed(doc_ids)))
+        index = build_index(cb)
+        pool = retrieve_top_k(["beach"], index, cb, 5)
+        assert [c.case.doc_id for c in pool] == doc_ids[:5]
+        assert len({c.baseline_score for c in pool}) == 1
+
+    def test_warm_query_reuses_cold_result(self, small_case_base):
+        index = build_index(small_case_base)
+        cold = retrieve_top_k(["beach", "sand", "temple"], index, small_case_base, 3)
+        warm = retrieve_top_k(["beach", "sand", "temple"], index, small_case_base, 3)
+        assert identities(warm) == identities(cold)
+        # the filled scoring entries take no part in index equality
+        assert build_index(small_case_base) == index
+
+
+affordance_components = st.one_of(
+    st.just(0.0),
+    st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308]),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+)
 
 
 def pool_of(scores_and_avs):
@@ -243,3 +364,17 @@ class TestRerank:
         pool = pool_of([(5.0, [1.0, 9.0]), (5.0, [9.0, 1.0])])
         result = rerank(pool, [1.0, 0.0], None, alpha=0.3)
         assert result.entries[0].doc_id == "c1"
+
+    @given(
+        st.one_of(st.just([0.0, 0.0, 0.0]), st.lists(affordance_components, min_size=3, max_size=3)),
+        st.lists(st.lists(affordance_components, min_size=3, max_size=3), min_size=1, max_size=6),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cosines_equal_cosine_sim(self, query_av, avs, use_revised):
+        cases = [Case(doc_id=f"c{i}", prob_desc={"t": 1.0}, av=list(av), av_revised=av[::-1]) for i, av in enumerate(avs)]
+        pool = [Candidate(case=case, baseline_score=1.0) for case in cases]
+        result = rerank(pool, query_av, None, alpha=0.0, use_revised=use_revised)
+        expected = {c.doc_id: cosine_sim(query_av, c.av_revised if use_revised else c.av) for c in cases}
+        assert {e.doc_id: e.affordance_cosine for e in result.entries} == expected
+        assert all(0.0 <= e.affordance_cosine <= 1.0 for e in result.entries)
