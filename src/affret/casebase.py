@@ -322,6 +322,11 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
                 raise CaseBaseFormatError(
                     f"{path}: case {case.doc_id!r} has dimension {len(case.av)}, header says {m}"
                 )
+            # JSON Infinity, NaN and 1e999 load as inf or nan, which make any sum
+            # non-finite; only such a sum (finite values reach one by overflow too)
+            # is checked value by value
+            if not math.isfinite(sum(case.prob_desc.values(), sum(case.av, sum(case.av_revised)))):
+                _reject_non_finite(case, path, lineno)
             cases.append(case)
         elif "corpus_stats" in record:
             body = record["corpus_stats"]
@@ -361,6 +366,13 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
     )
 
 
+def _reject_non_finite(case: Case, path: str | Path, lineno: int) -> None:
+    """Raise ``CaseBaseFormatError`` if the case holds an inf or a nan."""
+    for name, values in (("prob_desc", case.prob_desc.values()), ("av", case.av), ("av_revised", case.av_revised)):
+        if not all(map(math.isfinite, values)):
+            raise CaseBaseFormatError(f"{path}: case {case.doc_id!r} at line {lineno} has a non-finite {name} value")
+
+
 def revise_case_affordance(case: Case, query_av: AffordanceVector, eta: float) -> Case:
     """Nudge the revised vector toward the query's affordance profile.
 
@@ -375,7 +387,14 @@ def revise_case_affordance(case: Case, query_av: AffordanceVector, eta: float) -
         raise DimensionError(f"dimension mismatch: {len(query_av)} vs {len(case.av_revised)}")
     if eta == 0.0:
         return case
-    direction = normalize_av(query_av)
+    return _revise_toward(case, normalize_av(query_av), eta)
+
+
+def _revise_toward(case: Case, direction: AffordanceVector, eta: float) -> Case:
+    """``revise_case_affordance`` for ``direction = normalize_av(query_av)`` and 0 < eta <= 1.
+
+    Lets a caller revising many cases toward one query normalize it once.
+    """
     revised = _step(case.av_revised, direction, eta)
     if not all(map(math.isfinite, revised)):
         # Repeated aligned feedback grows the vector geometrically until it

@@ -17,8 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .affordance import compute_query_affordance
-from .casebase import CaseBase, BuildConfig, revise_case_affordance
+from .affordance import compute_query_affordance, normalize_av
+from .casebase import CaseBase, BuildConfig, _revise_toward
 from .errors import InputError, QueryFormatError
 from .retrieval import Candidate, InvertedIndex, Query, RankedResult, rerank, retrieve_top_k
 from .segmenter import tokenize
@@ -221,8 +221,9 @@ def run_experiment(
             outcome = _run_one(query, cb, index, config, use_desc, qrels)
             if feedback:
                 _, _, candidates, query_av = outcome
+                direction = normalize_av(query_av)
                 for cand in candidates:
-                    revise_case_affordance(cand.case, query_av, config.eta)
+                    _revise_toward(cand.case, direction, config.eta)
             outcomes.append(outcome)
 
     rows: list[ReportRow] = []

@@ -14,14 +14,20 @@ All term iteration during score summation is in sorted order: float addition
 is not associative, and a fixed order is what makes ranking byte-stable
 across runs and worker counts.
 
-Stage one runs term at a time. The first query that uses a term fills the
-index's scoring entry for it: the term's posting ordinals and each posting's
-contribution ``tf * idf^2 * norm``, the same expression evaluated in the same
-order as ``baseline_score``, so the same float. A query adds the entries of
-its terms, in sorted term order, into per-ordinal sums, which is the order
-in which ``baseline_score`` adds a case's matched terms. Selection keeps the
-scores at or above the k-th largest (so ties at the cut survive), sorts only
-those, and builds candidates for the k it returns.
+``build_index`` stores only what every query needs: the ordinals of the
+cases holding each term (which also give the term's idf), each case's norm
+and the doc_id -> ordinal map. Stage one runs term at a time. The first
+query that uses a term fills the index's scoring entry for it: the term's
+posting ordinals and each posting's contribution ``tf * idf^2 * norm``, with
+tf recovered from the case's ``prob_desc`` weight at that moment. That is
+the tf ``baseline_score`` uses and the same expression evaluated in the same
+order, so the same float. A query adds the entries of its terms, in sorted
+term order, into per-ordinal sums, which is the order in which
+``baseline_score`` adds a case's matched terms. Selection keeps the scores at
+or above the k-th largest (so ties at the cut survive), sorts only those,
+and builds candidates for the k it returns. The ``(ordinal, tf)`` posting
+lists and per-case tf maps that reference scorers read are built on first
+access, never by a query.
 """
 
 from __future__ import annotations
@@ -29,10 +35,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .affordance import AffordanceVector, cosine_to_unit, normalize_av
-from .casebase import Case, CaseBase, selection_idf
+from .casebase import Case, CaseBase, CorpusStats, selection_idf
 from .errors import CaseBaseBuildError, InputError
 
 
@@ -48,35 +55,77 @@ class Query:
 
 @dataclass
 class InvertedIndex:
-    # postings: term -> [(case ordinal, tf)] sorted by ordinal
-    postings: dict[str, list[tuple[int, int]]]
+    # term -> ascending ordinals of the cases whose description holds it,
+    # terms in first-seen order
+    term_ordinals: dict[str, list[int]]
     doc_norms: list[float]
     n_cases: int
     ordinals: dict[str, int]
-    case_tfs: list[dict[str, int]]
+    # each case's prob_desc, by ordinal, and the corpus stats: a posting's tf
+    # is recovered when it is first needed as max(1, round(weight / selection
+    # idf)), exact because weights are quantized well past integer resolution
+    descriptions: list[dict[str, float]] = field(repr=False)
+    corpus_stats: CorpusStats = field(repr=False)
     # term -> (posting ordinals, tf * idf^2 * norm per posting), filled by
-    # scoring_entry on a term's first query; stale if the postings change.
-    # Threads filling one term at once store equal entries.
+    # scoring_entry on a term's first query; threads filling one term at
+    # once store equal entries.
     _entries: dict[str, tuple[list[int], list[float]]] = field(default_factory=dict, repr=False, compare=False)
 
     def idf(self, term: str) -> float:
-        df = len(self.postings.get(term, ()))
+        df = len(self.term_ordinals.get(term, ()))
         return 1.0 + math.log(self.n_cases / (df + 1.0))
 
     def scoring_entry(self, term: str) -> tuple[list[int], list[float]] | None:
         """The term's posting ordinals and score contributions; None for an unindexed term."""
         entry = self._entries.get(term)
         if entry is None:
-            postings = self.postings.get(term)
-            if not postings:
+            term_ordinals = self.term_ordinals.get(term)
+            if not term_ordinals:
                 return None
             idf_sq = self.idf(term) ** 2
-            norms = self.doc_norms
+            selection = selection_idf(term, self.corpus_stats)
+            descriptions, norms = self.descriptions, self.doc_norms
+            # tf is max(1, round(weight / selection)) as in postings and
+            # case_tfs, spelled without the max() call: this runs per posting
             entry = self._entries[term] = (
-                [ordinal for ordinal, _ in postings],
-                [tf * idf_sq * norms[ordinal] for ordinal, tf in postings],
+                term_ordinals,
+                [
+                    (tf if (tf := round(descriptions[ordinal][term] / selection)) > 1 else 1) * idf_sq * norms[ordinal]
+                    for ordinal in term_ordinals
+                ],
             )
         return entry
+
+    @cached_property
+    def postings(self) -> dict[str, list[tuple[int, int]]]:
+        """term -> [(case ordinal, tf)] sorted by ordinal; built on first access.
+
+        The query path never reads it; it is the tf view that reference
+        scorers walk.
+        """
+        postings = {}
+        for term, ordinals in self.term_ordinals.items():
+            selection = selection_idf(term, self.corpus_stats)
+            postings[term] = [(o, max(1, round(self.descriptions[o][term] / selection))) for o in ordinals]
+        return postings
+
+    @cached_property
+    def case_tfs(self) -> list[dict[str, int]]:
+        """Per case ordinal, term -> tf in description order; built on first access.
+
+        Read by ``baseline_score`` only, never by the query path.
+        """
+        selections: dict[str, float] = {}
+        case_tfs = []
+        for description in self.descriptions:
+            tfs = {}
+            for term, weight in description.items():
+                selection = selections.get(term)
+                if selection is None:
+                    selection = selections[term] = selection_idf(term, self.corpus_stats)
+                tfs[term] = max(1, round(weight / selection))
+            case_tfs.append(tfs)
+        return case_tfs
 
 
 class Candidate(NamedTuple):
@@ -102,34 +151,27 @@ class RankedResult:
 def build_index(cb: CaseBase) -> InvertedIndex:
     """Inverted index over problem-description terms.
 
-    Term frequencies are recovered from the stored weights (weight divided by
-    the term's selection idf gives back the build-time count exactly, since
-    weights are quantized well past integer resolution).
+    Groups case ordinals by term and computes each case's norm; every query
+    needs these. Term frequencies are read from the cases' ``prob_desc``
+    weights when a term is first queried, so index a case base only after
+    its descriptions are final (feedback changes ``av_revised`` only).
     """
     if not cb.cases:
         raise CaseBaseBuildError("cannot index an empty case base")
-    postings: dict[str, list[tuple[int, int]]] = {}
-    case_tfs: list[dict[str, int]] = []
-    ordinals: dict[str, int] = {}
+    descriptions = [case.prob_desc for case in cb.cases]
+    term_ordinals: dict[str, list[int]] = {}
     doc_norms: list[float] = []
-    idfs: dict[str, float] = {}
-    for ordinal, case in enumerate(cb.cases):
-        ordinals[case.doc_id] = ordinal
-        doc_norms.append(1.0 / math.sqrt(len(case.prob_desc)))
-        tfs: dict[str, int] = {}
-        for term, weight in case.prob_desc.items():
-            idf = idfs.get(term)
-            if idf is None:
-                idf = idfs[term] = selection_idf(term, cb.corpus_stats)
-            tf = tfs[term] = max(1, round(weight / idf))
-            postings.setdefault(term, []).append((ordinal, tf))
-        case_tfs.append(tfs)
+    for ordinal, description in enumerate(descriptions):
+        doc_norms.append(1.0 / math.sqrt(len(description)))
+        for term in description:
+            term_ordinals.setdefault(term, []).append(ordinal)
     return InvertedIndex(
-        postings=postings,
+        term_ordinals=term_ordinals,
         doc_norms=doc_norms,
         n_cases=len(cb.cases),
-        ordinals=ordinals,
-        case_tfs=case_tfs,
+        ordinals={case.doc_id: ordinal for ordinal, case in enumerate(cb.cases)},
+        descriptions=descriptions,
+        corpus_stats=cb.corpus_stats,
     )
 
 

@@ -6,9 +6,11 @@ faster; tests require the two to agree exactly.
 
 from __future__ import annotations
 
+import math
 import re
+from dataclasses import dataclass
 
-from affret import Candidate, InputError
+from affret import Candidate, CaseBaseBuildError, InputError, selection_idf
 
 
 def collapse_repeated_phrases(tokens: list[str], min_len: int = 3) -> list[str]:
@@ -111,3 +113,52 @@ def retrieve_top_k(q_tokens: list[str], index, cb, k: int) -> list:
     ]
     scored.sort(key=lambda c: (-c.baseline_score, c.case.doc_id))
     return scored[:k]
+
+
+@dataclass
+class Index:
+    """What the reference ``build_index`` computes up front."""
+
+    postings: dict[str, list[tuple[int, int]]]
+    doc_norms: list[float]
+    n_cases: int
+    ordinals: dict[str, int]
+    case_tfs: list[dict[str, int]]
+
+    def idf(self, term: str) -> float:
+        df = len(self.postings.get(term, ()))
+        return 1.0 + math.log(self.n_cases / (df + 1.0))
+
+
+def build_index(cb) -> Index:
+    """Reference ``retrieval.build_index``: every posting's tf recovered at build time.
+
+    Term frequencies are recovered from the stored weights (weight divided by
+    the term's selection idf gives back the build-time count exactly, since
+    weights are quantized well past integer resolution).
+    """
+    if not cb.cases:
+        raise CaseBaseBuildError("cannot index an empty case base")
+    postings: dict[str, list[tuple[int, int]]] = {}
+    case_tfs: list[dict[str, int]] = []
+    ordinals: dict[str, int] = {}
+    doc_norms: list[float] = []
+    idfs: dict[str, float] = {}
+    for ordinal, case in enumerate(cb.cases):
+        ordinals[case.doc_id] = ordinal
+        doc_norms.append(1.0 / math.sqrt(len(case.prob_desc)))
+        tfs: dict[str, int] = {}
+        for term, weight in case.prob_desc.items():
+            idf = idfs.get(term)
+            if idf is None:
+                idf = idfs[term] = selection_idf(term, cb.corpus_stats)
+            tf = tfs[term] = max(1, round(weight / idf))
+            postings.setdefault(term, []).append((ordinal, tf))
+        case_tfs.append(tfs)
+    return Index(
+        postings=postings,
+        doc_norms=doc_norms,
+        n_cases=len(cb.cases),
+        ordinals=ordinals,
+        case_tfs=case_tfs,
+    )

@@ -284,6 +284,47 @@ class TestPersistence:
         with pytest.raises(CaseBaseFormatError, match="dimension"):
             load_case_base(tmp_path / "dim.jsonl")
 
+    def edited(self, cb, tmp_path, edit):
+        """The saved case base after ``edit`` rewrites the first case's record (a dict)."""
+        path = tmp_path / "cb.jsonl"
+        save_case_base(cb, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        case = json.loads(lines[1])
+        edit(case)
+        # json.dumps writes inf and nan as Infinity and NaN; 1e999 goes in through a placeholder
+        lines[1] = json.dumps(case, sort_keys=True).replace('"@value@"', "1e999")
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return edited
+
+    @pytest.mark.parametrize("field", ["prob_desc", "av", "av_revised"])
+    @pytest.mark.parametrize(
+        "value",
+        [math.inf, -math.inf, math.nan, "@value@"],
+        ids=["Infinity", "-Infinity", "NaN", "1e999"],
+    )
+    def test_non_finite_value_rejected(self, small_case_base, tmp_path, field, value):
+        def edit(case):
+            if field == "prob_desc":
+                case[field][-1][1] = value
+            else:
+                case[field][1] = value
+
+        path = self.edited(small_case_base, tmp_path, edit)
+        doc_id = small_case_base.cases[0].doc_id
+        with pytest.raises(CaseBaseFormatError, match=f"{doc_id!r} at line 2 has a non-finite {field} value"):
+            load_case_base(path)
+
+    def test_finite_values_whose_sum_overflows_accepted(self, small_case_base, tmp_path):
+        def edit(case):
+            for pair in case["prob_desc"]:
+                pair[1] = 1.7e308
+            case["av"] = case["av_revised"] = [1.7e308, 1.7e308, 0.0]
+
+        loaded = load_case_base(self.edited(small_case_base, tmp_path, edit))
+        assert set(loaded.cases[0].prob_desc.values()) == {1.7e308}
+        assert loaded.cases[0].av == [1.7e308, 1.7e308, 0.0]
+
 
 class TestReviseCaseAffordance:
     def make_case(self, av):

@@ -103,6 +103,18 @@ class TestQuery:
     def test_missing_case_base_is_input_error(self, workspace):
         assert main(["query", "--cb", str(workspace / "no.jsonl"), "--text", "beach"]) == 1
 
+    def test_overflowing_weight_is_a_format_error(self, workspace, capsys):
+        main(build_args(workspace))
+        path = workspace / "cb.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        case = json.loads(lines[1])
+        term = case["prob_desc"][0][0]
+        case["prob_desc"][0][1] = "@value@"
+        lines[1] = json.dumps(case, sort_keys=True).replace('"@value@"', "1e999") + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert main(["query", "--cb", str(path), "--text", term]) == 1
+        assert "non-finite prob_desc value" in capsys.readouterr().err
+
 
 class TestEval:
     def eval_args(self, ws, out="report", **extra):

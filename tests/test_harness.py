@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -12,17 +13,21 @@ from scipy import stats as scipy_stats
 from affret import (
     BuildConfig,
     InputError,
+    Query,
     QueryFormatError,
     build_index,
     compare_rankings,
+    compute_query_affordance,
     emit_report,
     load_qrels,
     load_queries,
     populate_case_base,
+    retrieve_top_k,
+    revise_case_affordance,
     run_experiment,
 )
 
-from conftest import write_corpus
+from conftest import TOURISM_WORDS, write_corpus
 
 
 def topic_block(num, title, desc="", narr=""):
@@ -214,6 +219,34 @@ class TestRunExperiment:
         assert all(cos[("Q2", d)] > cos[("Q1", d)] for d in moved)
         assert all(list(c.av) == raw_avs[c.doc_id] for c in cb.cases)
         assert any(c.av_revised != c.av for c in cb.cases)
+
+    def test_feedback_equals_per_candidate_revisions(self, tmp_path, lexicon3):
+        rng = random.Random(7)
+        pages = {
+            f"d{i:02d}.html": "<p>" + " ".join(rng.choices(TOURISM_WORDS, k=rng.randint(3, 10))) + "</p>"
+            for i in range(12)
+        }
+        cb = populate_case_base(write_corpus(tmp_path / "corpus", pages), lexicon3, BuildConfig(k_terms=6))
+        # random queries, then one repeated until aligned feedback reaches the overflow rescale
+        titles = [rng.choices(TOURISM_WORDS, k=rng.randint(1, 4)) for _ in range(60)]
+        titles += [["beach", "temple"]] * 1800
+        queries = [Query(query_id=f"Q{i}", title=title) for i, title in enumerate(titles)]
+        config = BuildConfig(k_retrieve=5, eta=0.5)
+        expected = copy.deepcopy(cb)
+        expected_index = build_index(expected)
+        rescaled = 0
+        for query in queries:
+            query_av = compute_query_affordance(query.title, expected.lexicon)
+            for cand in retrieve_top_k(query.title, expected_index, expected, config.k_retrieve):
+                peak = max(cand.case.av_revised)
+                revise_case_affordance(cand.case, query_av, config.eta)
+                # a non-negative step never lowers a component; only the rescale does
+                rescaled += max(cand.case.av_revised) < peak
+        assert rescaled
+        run_experiment(cb, build_index(cb), queries, config)
+        assert [[v.hex() for v in c.av_revised] for c in cb.cases] == [
+            [v.hex() for v in c.av_revised] for c in expected.cases
+        ]
 
     def test_worker_count_does_not_change_report(self, tmp_path, shift_setup):
         cb, index = shift_setup

@@ -270,6 +270,74 @@ class TestRetrieveMatchesOracle:
         assert build_index(small_case_base) == index
 
 
+@st.composite
+def weighted_case_bases(draw):
+    """Case bases whose weights are drawn as multiples of the selection idf:
+    fractions below one half (tf rounds to 0 and is lifted to 1), exact
+    half-way ties (rounded to even), terms shared
+    by many cases, corpus stats counting more than the descriptions hold,
+    doc_ids in an order unrelated to the ordinals."""
+    n = draw(st.integers(1, 12))
+    terms = st.sampled_from(VOCAB + ["walk", "quiet"])
+    descriptions = [draw(st.lists(terms, min_size=1, max_size=5, unique=True)) for _ in range(n)]
+    # a build counts every token of every admitted page, not only the selected terms
+    df = {t: count + draw(st.integers(0, 3)) for t, count in Counter(t for d in descriptions for t in d).items()}
+    stats = CorpusStats(df=df, n_cases=n + draw(st.integers(0, 3)))
+    multiples = st.sampled_from([0.05, 0.3, 0.49, 0.5, 0.51, 1.0, 1.4, 2.0, 2.5, 3.0, 7.0])
+    # unquantized, a weight of 0.5 or 2.5 idfs usually divides back to an exact tie
+    quantize = st.sampled_from([round12, float])
+    doc_ids = draw(st.permutations([f"d{i:02d}" for i in range(n)]))
+    cases = [
+        Case(
+            doc_id=doc_id,
+            prob_desc={t: draw(quantize)(draw(multiples) * selection_idf(t, stats)) for t in desc},
+            av=[1.0],
+            av_revised=[1.0],
+        )
+        for doc_id, desc in zip(doc_ids, descriptions)
+    ]
+    return CaseBase(
+        lexicon_fingerprint=MISC_ONLY.fingerprint(),
+        cases=cases,
+        corpus_stats=stats,
+        lexicon=MISC_ONLY,
+        config=BuildConfig(),
+    )
+
+
+class TestIndexMatchesOracle:
+    @given(
+        weighted_case_bases(),
+        st.lists(st.sampled_from(QUERY_WORDS + ["walk", "quiet"]), min_size=1, max_size=6),
+        st.integers(1, 15),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference_index(self, cb, query, k):
+        index, expected = build_index(cb), oracles.build_index(cb)
+        for k_ in (1, k, len(cb.cases) + 3):
+            assert identities(retrieve_top_k(query, index, cb, k_)) == identities(
+                oracles.retrieve_top_k(query, expected, cb, k_)
+            )
+        assert [list(tfs.items()) for tfs in index.case_tfs] == [list(tfs.items()) for tfs in expected.case_tfs]
+        assert list(index.postings.items()) == list(expected.postings.items())
+        assert index.doc_norms == expected.doc_norms
+        assert list(index.ordinals.items()) == list(expected.ordinals.items())
+        assert index.n_cases == expected.n_cases
+        for term in [*expected.postings, "zzz"]:
+            assert index.idf(term) == expected.idf(term)
+
+    def test_query_path_builds_no_tf_views(self, small_case_base):
+        index = build_index(small_case_base)
+        for query in (["beach"], ["beach", "temple", "sand", "zzz"], ["walk"]):
+            pool = retrieve_top_k(query, index, small_case_base, 3)
+            rerank(pool, [1.0, 0.0, 0.0], small_case_base, alpha=0.25, use_revised=True)
+        assert "postings" not in vars(index)
+        assert "case_tfs" not in vars(index)
+        # case_tfs is built from the descriptions, not from the posting lists
+        assert index.case_tfs == oracles.build_index(small_case_base).case_tfs
+        assert "postings" not in vars(index)
+
+
 affordance_components = st.one_of(
     st.just(0.0),
     st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308]),
