@@ -17,12 +17,19 @@ import json
 import logging
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .affordance import AffordanceVector, compute_block_affordance, compute_doc_affordance, normalize_av
-from .errors import CaseBaseBuildError, CaseBaseFormatError, CompatibilityError, DimensionError, InputError, ParseError
+from .errors import (
+    CaseBaseBuildError,
+    CaseBaseFormatError,
+    CompatibilityError,
+    DimensionError,
+    InputError,
+    LexiconFormatError,
+    ParseError,
+)
 from .lexicon import Lexicon, Topic
 from .segmenter import RawDocument, dedupe_sentences, extract_block_text, parse_document, segment_blocks, tokenize
 
@@ -171,42 +178,28 @@ def populate_case_base(
     lexicon: Lexicon,
     config: BuildConfig,
     stop_words: frozenset[str] | None = None,
-    workers: int = 1,
 ) -> CaseBase:
     """Two-pass batch build over a directory of .html/.htm files.
 
-    Pass 1 tokenizes every document and accumulates document frequencies;
-    pass 2 constructs cases in sorted doc_id order. Documents that fail to
-    parse or contain no admissible text are skipped with a logged diagnostic.
-    The worker count only parallelizes the per-document pipeline; outputs are
-    identical for any worker count.
+    Pass 1 tokenizes every document in sorted doc_id order and accumulates
+    document frequencies; pass 2 constructs cases in the same order. Documents
+    that fail to parse or contain no admissible text are skipped with a
+    logged diagnostic.
     """
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
         raise InputError(f"corpus directory not found: {corpus_dir}")
-    files = _corpus_files(corpus_dir)
-
-    def pipeline(item: tuple[str, Path]) -> tuple[str, list[list[str]] | None]:
-        doc_id, path = item
-        try:
-            doc = parse_document(path.read_bytes(), doc_id, source_path=path)
-        except ParseError as exc:
-            logger.warning("skipping %s: %s", doc_id, exc)
-            return doc_id, None
-        return doc_id, _block_token_lists(doc, config.tau, stop_words)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(pipeline, files))
-    else:
-        results = [pipeline(item) for item in files]
 
     df: Counter = Counter()
     n_cases = 0
     tokenized: list[tuple[str, list[list[str]]]] = []
-    for doc_id, block_tokens in results:
-        if block_tokens is None:
+    for doc_id, path in _corpus_files(corpus_dir):
+        try:
+            doc = parse_document(path.read_bytes(), doc_id)
+        except ParseError as exc:
+            logger.warning("skipping %s: %s", doc_id, exc)
             continue
+        block_tokens = _block_token_lists(doc, config.tau, stop_words)
         doc_terms = {term for tokens in block_tokens for term in tokens}
         if not doc_terms:
             logger.info("skipping %s: no admissible text blocks", doc_id)
@@ -301,14 +294,20 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
         config = BuildConfig(**header["config"])
     except (TypeError, InputError) as exc:
         raise CaseBaseFormatError(f"{path}: bad config in header ({exc})") from exc
+    for key in ("m", "N"):
+        if type(header[key]) is not int:
+            raise CaseBaseFormatError(f"{path}: header {key} must be an integer, got {header[key]!r}")
     m = header["m"]
 
     cases: list[Case] = []
+    case_lines: dict[str, int] = {}
     stats: CorpusStats | None = None
     embedded: Lexicon | None = None
     for lineno, line in enumerate(raw_lines[1:], start=2):
         record = parse_line(line, lineno)
         if "doc_id" in record:
+            if not isinstance(record["doc_id"], str):
+                raise CaseBaseFormatError(f"{path}: doc_id at line {lineno} is not a string")
             try:
                 case = Case(
                     doc_id=record["doc_id"],
@@ -327,21 +326,33 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
             # is checked value by value
             if not math.isfinite(sum(case.prob_desc.values(), sum(case.av, sum(case.av_revised)))):
                 _reject_non_finite(case, path, lineno)
+            first = case_lines.setdefault(case.doc_id, lineno)
+            if first != lineno:
+                raise CaseBaseFormatError(
+                    f"{path}: duplicate doc_id {case.doc_id!r} at lines {first} and {lineno}"
+                )
             cases.append(case)
         elif "corpus_stats" in record:
             body = record["corpus_stats"]
-            stats = CorpusStats(df={t: int(v) for t, v in body["df"].items()}, n_cases=int(body["N"]))
+            try:
+                stats = CorpusStats(df={t: int(v) for t, v in body["df"].items()}, n_cases=int(body["N"]))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise CaseBaseFormatError(f"{path}: malformed corpus_stats at line {lineno} ({exc})") from exc
         elif "lexicon" in record:
-            embedded = Lexicon(
-                topics=[
-                    Topic(
-                        name=t["name"],
-                        terms=frozenset(t["terms"]),
-                        miscellaneous=bool(t["miscellaneous"]),
-                    )
-                    for t in record["lexicon"]["topics"]
-                ]
-            )
+            try:
+                embedded = Lexicon(
+                    topics=[
+                        Topic(
+                            name=t["name"],
+                            terms=frozenset(t["terms"]),
+                            miscellaneous=bool(t["miscellaneous"]),
+                        )
+                        for t in record["lexicon"]["topics"]
+                    ]
+                )
+                embedded_fingerprint = embedded.fingerprint()
+            except (KeyError, TypeError, LexiconFormatError) as exc:
+                raise CaseBaseFormatError(f"{path}: malformed lexicon at line {lineno} ({exc})") from exc
         else:
             raise CaseBaseFormatError(f"{path}: unrecognized record at line {lineno}")
 
@@ -349,7 +360,7 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
         raise CaseBaseFormatError(f"{path}: truncated case base (missing trailing records)")
     if embedded.m != m:
         raise CaseBaseFormatError(f"{path}: embedded lexicon dimension {embedded.m} != header m {m}")
-    if embedded.fingerprint() != header["lexicon_fingerprint"]:
+    if embedded_fingerprint != header["lexicon_fingerprint"]:
         raise CaseBaseFormatError(f"{path}: embedded lexicon does not match header fingerprint")
     if lexicon is not None:
         if lexicon.fingerprint() != header["lexicon_fingerprint"]:

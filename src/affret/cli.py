@@ -36,14 +36,12 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--k-terms", type=int, default=20, help="top terms kept per block (default 20)")
     build.add_argument("--tau", type=float, default=0.5, help="link-to-text noise threshold (default 0.5)")
     build.add_argument("--stopwords", default=None, help="optional stop-word file, one word per line")
-    build.add_argument("--workers", type=int, default=1, help="parallel document workers (default 1)")
 
     query = sub.add_parser("query", help="run a single ad-hoc text query")
     query.add_argument("--cb", required=True, help="case base file from `build`")
     query.add_argument("--text", required=True, help="query text")
     query.add_argument("--k", type=int, default=10, help="candidate pool size (default 10)")
     query.add_argument("--alpha", type=float, default=0.0, help="blend weight: 0 pure affordance, 1 pure baseline")
-    query.add_argument("--use-revised", action="store_true", help="compare against feedback-revised vectors")
     query.add_argument("--stopwords", default=None, help="optional stop-word file, one word per line")
 
     ev = sub.add_parser("eval", help="run a query batch and write CSV reports")
@@ -56,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--qrels", default=None, help="relevance judgments for precision@k columns")
     ev.add_argument("--eta", type=float, default=0.0, help="feedback rate; > 0 revises top-k vectors per query")
     ev.add_argument("--stopwords", default=None, help="optional stop-word file, one word per line")
-    ev.add_argument("--workers", type=int, default=1, help="parallel query workers, ignored when eta > 0")
 
     return parser
 
@@ -68,9 +65,7 @@ def _stop_words(path: str | None) -> frozenset[str] | None:
 def _cmd_build(args: argparse.Namespace) -> int:
     config = BuildConfig(k_terms=args.k_terms, tau=args.tau)
     lexicon = load_lexicon(args.lexicon)
-    cb = populate_case_base(
-        args.corpus, lexicon, config, stop_words=_stop_words(args.stopwords), workers=args.workers
-    )
+    cb = populate_case_base(args.corpus, lexicon, config, stop_words=_stop_words(args.stopwords))
     save_case_base(cb, args.out)
     log.info("wrote %d cases to %s", len(cb.cases), args.out)
     return 0
@@ -90,7 +85,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print("no matching cases")
         return 0
     query_av = compute_query_affordance(tokens, cb.lexicon)
-    ranked = rerank(pool, query_av, cb, alpha=config.alpha, use_revised=args.use_revised)
+    ranked = rerank(pool, query_av, cb, alpha=config.alpha)
     print(f"{'rank':>4}  {'doc_id':<40}  {'final':>9}  {'cosine':>8}  {'base_rank':>9}")
     for entry in ranked.entries:
         print(
@@ -107,9 +102,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     stop_words = _stop_words(args.stopwords)
     queries = load_queries(args.queries, stop_words)
     qrels = load_qrels(args.qrels) if args.qrels else None
-    report = run_experiment(
-        cb, index, queries, config, use_desc=args.use_desc, qrels=qrels, workers=args.workers
-    )
+    report = run_experiment(cb, index, queries, config, use_desc=args.use_desc, qrels=qrels)
     rows_path, summary_path = emit_report(report, args.out)
     log.info("wrote %s and %s", rows_path, summary_path)
     return 0

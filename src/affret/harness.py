@@ -3,9 +3,9 @@
 The report quantifies how much affordance re-ranking moved the baseline
 ordering (per-query Kendall tau plus full rank columns). Precision metrics
 appear only when the caller supplies relevance judgments; nothing is ever
-fabricated. Output files are byte-identical across reruns and worker counts:
-rows are order-normalized by (query_id, final_rank) and all numbers carry a
-fixed 6-decimal format.
+fabricated. Output files are byte-identical across reruns: rows are
+order-normalized by (query_id, final_rank) and all numbers carry a fixed
+6-decimal format.
 """
 
 from __future__ import annotations
@@ -13,20 +13,19 @@ from __future__ import annotations
 import csv
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .affordance import compute_query_affordance, normalize_av
 from .casebase import CaseBase, BuildConfig, _revise_toward
 from .errors import InputError, QueryFormatError
-from .retrieval import Candidate, InvertedIndex, Query, RankedResult, rerank, retrieve_top_k
+from .retrieval import InvertedIndex, Query, rerank, retrieve_top_k
 from .segmenter import tokenize
 
 _TOP_BLOCK = re.compile(r"<top>(.*?)</top>", re.DOTALL | re.IGNORECASE)
 _FIELD = {
     name: re.compile(rf"<{name}>(.*?)(?=</{name}>|<num>|<title>|<desc>|<narr>|$)", re.DOTALL | re.IGNORECASE)
-    for name in ("num", "title", "desc", "narr")
+    for name in ("num", "title", "desc")
 }
 
 ROWS_HEADER = (
@@ -76,10 +75,11 @@ def _field_text(block: str, name: str) -> str:
 
 
 def load_queries(path: str | Path, stop_words: frozenset[str] | None = None) -> list[Query]:
-    """Parse a topic file of <top> blocks with num/title and optional desc/narr.
+    """Parse a topic file of <top> blocks with num/title and optional desc.
 
     Titles run through the same tokenizer as document text; a query whose
-    title is empty after stop-wording cannot be served and is rejected.
+    title is empty after stop-wording cannot be served and is rejected. A
+    <narr> field is skipped: it only ends the field before it.
     """
     text = Path(path).read_text(encoding="utf-8")
     blocks = _TOP_BLOCK.findall(text)
@@ -103,7 +103,6 @@ def load_queries(path: str | Path, stop_words: frozenset[str] | None = None) -> 
                 query_id=num,
                 title=title,
                 desc=tokenize(_field_text(block, "desc"), stop_words),
-                narr=_field_text(block, "narr"),
             )
         )
     return queries
@@ -153,45 +152,6 @@ def _precision_at_k(order: list[str], query_id: str, qrels: dict[tuple[str, str]
     return hits / k
 
 
-def _run_one(
-    query: Query,
-    cb: CaseBase,
-    index: InvertedIndex,
-    config: BuildConfig,
-    use_desc: bool,
-    qrels: dict[tuple[str, str], int] | None,
-) -> tuple[list[ReportRow], QuerySummary, list[Candidate], list[float]]:
-    tokens = query.title + query.desc if use_desc else query.title
-    pool = retrieve_top_k(tokens, index, cb, config.k_retrieve)
-    if not pool:
-        return [], QuerySummary(query_id=query.query_id, kendall_tau=None, pool_size=0), [], []
-    query_av = compute_query_affordance(tokens, cb.lexicon)
-    ranked = rerank(pool, query_av, cb, alpha=config.alpha, use_revised=config.eta > 0)
-    rows = [
-        ReportRow(
-            query_id=query.query_id,
-            doc_id=e.doc_id,
-            baseline_rank=e.baseline_rank,
-            final_rank=e.final_rank,
-            baseline_score=e.baseline_score,
-            affordance_cosine=e.affordance_cosine,
-            final_score=e.final_score,
-        )
-        for e in ranked.entries
-    ]
-    baseline_order = [c.case.doc_id for c in pool]
-    final_order = [e.doc_id for e in ranked.entries]
-    summary = QuerySummary(
-        query_id=query.query_id,
-        kendall_tau=compare_rankings(baseline_order, final_order),
-        pool_size=len(pool),
-    )
-    if qrels is not None:
-        summary.precision_baseline = _precision_at_k(baseline_order, query.query_id, qrels, config.k_retrieve)
-        summary.precision_final = _precision_at_k(final_order, query.query_id, qrels, config.k_retrieve)
-    return rows, summary, pool, query_av
-
-
 def run_experiment(
     cb: CaseBase,
     index: InvertedIndex,
@@ -199,38 +159,51 @@ def run_experiment(
     config: BuildConfig,
     use_desc: bool = False,
     qrels: dict[tuple[str, str], int] | None = None,
-    workers: int = 1,
 ) -> RunReport:
-    """Retrieve, re-rank, and summarize every query.
+    """Retrieve, re-rank, and summarize every query, in query order.
 
-    With a positive feedback rate (eta) the run is strictly sequential in
-    query order: each query's top pool is compared against the revised
-    vectors accumulated so far and then revises them in turn. With eta = 0
-    queries are independent and may fan out across workers; results are
-    assembled in query order either way, so output is identical.
+    With a positive feedback rate (eta) each query's pool is re-ranked against
+    the revised vectors accumulated so far and then revises them in turn.
     """
     feedback = config.eta > 0
-    if workers > 1 and not feedback:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(lambda q: _run_one(q, cb, index, config, use_desc, qrels), queries)
-            )
-    else:
-        outcomes = []
-        for query in queries:
-            outcome = _run_one(query, cb, index, config, use_desc, qrels)
-            if feedback:
-                _, _, candidates, query_av = outcome
-                direction = normalize_av(query_av)
-                for cand in candidates:
-                    _revise_toward(cand.case, direction, config.eta)
-            outcomes.append(outcome)
-
     rows: list[ReportRow] = []
     summaries: list[QuerySummary] = []
-    for query_rows, summary, _, _ in outcomes:
-        rows.extend(query_rows)
+    for query in queries:
+        tokens = query.title + query.desc if use_desc else query.title
+        pool = retrieve_top_k(tokens, index, cb, config.k_retrieve)
+        if not pool:
+            summaries.append(QuerySummary(query_id=query.query_id, kendall_tau=None, pool_size=0))
+            continue
+        query_av = compute_query_affordance(tokens, cb.lexicon)
+        ranked = rerank(pool, query_av, cb, alpha=config.alpha, use_revised=feedback)
+        rows.extend(
+            ReportRow(
+                query_id=query.query_id,
+                doc_id=e.doc_id,
+                baseline_rank=e.baseline_rank,
+                final_rank=e.final_rank,
+                baseline_score=e.baseline_score,
+                affordance_cosine=e.affordance_cosine,
+                final_score=e.final_score,
+            )
+            for e in ranked.entries
+        )
+        baseline_order = [c.case.doc_id for c in pool]
+        final_order = [e.doc_id for e in ranked.entries]
+        summary = QuerySummary(
+            query_id=query.query_id,
+            kendall_tau=compare_rankings(baseline_order, final_order),
+            pool_size=len(pool),
+        )
+        if qrels is not None:
+            summary.precision_baseline = _precision_at_k(baseline_order, query.query_id, qrels, config.k_retrieve)
+            summary.precision_final = _precision_at_k(final_order, query.query_id, qrels, config.k_retrieve)
         summaries.append(summary)
+        if feedback:
+            direction = normalize_av(query_av)
+            for cand in pool:
+                _revise_toward(cand.case, direction, config.eta)
+
     echo = {
         "k_terms": config.k_terms,
         "tau": config.tau,

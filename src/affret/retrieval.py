@@ -12,7 +12,7 @@ baseline ordering exactly.
 
 All term iteration during score summation is in sorted order: float addition
 is not associative, and a fixed order is what makes ranking byte-stable
-across runs and worker counts.
+across runs.
 
 ``build_index`` stores only what every query needs: the ordinals of the
 cases holding each term (which also give the term's idf), each case's norm
@@ -45,12 +45,11 @@ from .errors import CaseBaseBuildError, InputError
 
 @dataclass
 class Query:
-    """A parsed topic: tokenized title/desc plus the raw narrative, stored unused."""
+    """A parsed topic: tokenized title and desc."""
 
     query_id: str
     title: list[str]
     desc: list[str] = field(default_factory=list)
-    narr: str = ""
 
 
 @dataclass
@@ -67,8 +66,7 @@ class InvertedIndex:
     descriptions: list[dict[str, float]] = field(repr=False)
     corpus_stats: CorpusStats = field(repr=False)
     # term -> (posting ordinals, tf * idf^2 * norm per posting), filled by
-    # scoring_entry on a term's first query; threads filling one term at
-    # once store equal entries.
+    # scoring_entry on a term's first query
     _entries: dict[str, tuple[list[int], list[float]]] = field(default_factory=dict, repr=False, compare=False)
 
     def idf(self, term: str) -> float:

@@ -29,7 +29,6 @@ import operator
 import re
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
-from pathlib import Path
 
 from .errors import ParseError
 from .stopwords import DEFAULT_STOPWORDS
@@ -55,8 +54,6 @@ class RawDocument:
     """A parsed document ready for segmentation."""
 
     doc_id: str
-    source_path: str | None
-    raw: bytes
     markup: str
 
 
@@ -78,7 +75,7 @@ class Block:
     segments: tuple[tuple[str, bool], ...] = field(repr=False)
 
 
-def parse_document(raw: bytes, doc_id: str, source_path: str | Path | None = None) -> RawDocument:
+def parse_document(raw: bytes, doc_id: str) -> RawDocument:
     """Decode raw bytes into a document; rejects empty or undecodable input.
 
     Numeric character references (hex or decimal) in the markup are decoded
@@ -91,12 +88,7 @@ def parse_document(raw: bytes, doc_id: str, source_path: str | Path | None = Non
         markup = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{doc_id}: undecodable byte stream ({exc})") from exc
-    return RawDocument(
-        doc_id=doc_id,
-        source_path=str(source_path) if source_path is not None else None,
-        raw=raw,
-        markup=markup,
-    )
+    return RawDocument(doc_id=doc_id, markup=markup)
 
 
 class _Accumulator:

