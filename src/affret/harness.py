@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .affordance import compute_query_affordance, normalize_av
@@ -204,15 +204,7 @@ def run_experiment(
             for cand in pool:
                 _revise_toward(cand.case, direction, config.eta)
 
-    echo = {
-        "k_terms": config.k_terms,
-        "tau": config.tau,
-        "k_retrieve": config.k_retrieve,
-        "alpha": config.alpha,
-        "eta": config.eta,
-        "use_desc": use_desc,
-        "lexicon_fingerprint": cb.lexicon_fingerprint,
-    }
+    echo = {**asdict(config), "use_desc": use_desc, "lexicon_fingerprint": cb.lexicon_fingerprint}
     return RunReport(rows=rows, summaries=summaries, config_echo=echo, has_precision=qrels is not None)
 
 

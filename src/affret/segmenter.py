@@ -18,9 +18,10 @@ segmentation rules matter:
   are ignored. The only hard failure is an undecodable byte stream.
 - ``script``/``style``/``head`` content is invisible and never extracted.
 
-Per block we count visible (non-whitespace) characters inside and outside
-anchor elements; the link-to-text ratio built from those counts is the noise
-signal used to drop navigational blocks.
+Each text node is counted as the walk appends it to its block: the block's
+visible (non-whitespace) characters inside and outside anchor elements. A
+block is kept when those counts are not both zero, and the link-to-text ratio
+built from them is the noise signal used to drop navigational blocks.
 """
 
 from __future__ import annotations
@@ -62,17 +63,20 @@ class Block:
     """One structural segment of a page.
 
     ``segments`` preserves the linked/unlinked interleaving needed to drop
-    anchor text later; a ``(BREAK_MARK, False)`` entry marks a retained
-    heading or paragraph boundary. ``text`` is the full clean rendering,
-    anchors included.
+    anchor text later; a ``BREAK_MARK`` entry marks a retained heading or
+    paragraph boundary. ``text`` is the full clean rendering, anchors
+    included, rendered on each access.
     """
 
     index: int
     tag_kind: str
     linked_chars: int
     unlinked_chars: int
-    text: str
     segments: tuple[tuple[str, bool], ...] = field(repr=False)
+
+    @property
+    def text(self) -> str:
+        return _render(self.segments, include_linked=True)
 
 
 def parse_document(raw: bytes, doc_id: str) -> RawDocument:
@@ -92,14 +96,13 @@ def parse_document(raw: bytes, doc_id: str) -> RawDocument:
 
 
 class _Accumulator:
-    __slots__ = ("tag_kind", "segments")
+    __slots__ = ("tag_kind", "depth", "segments", "counts")
 
-    def __init__(self, tag_kind: str):
+    def __init__(self, tag_kind: str, depth: int):
         self.tag_kind = tag_kind
+        self.depth = depth  # stack index of the frame that opened it
         self.segments: list[tuple[str, bool]] = []
-
-    def has_text(self) -> bool:
-        return any(seg != BREAK_MARK and seg.strip() for seg, _ in self.segments)
+        self.counts = [0, 0]  # visible characters: [unlinked, linked]
 
 
 class _BlockWalker(HTMLParser):
@@ -107,22 +110,27 @@ class _BlockWalker(HTMLParser):
 
     def __init__(self):
         super().__init__(convert_charrefs=True)
-        # stack frames: (tag, accumulator-or-None for non-segmenting tags)
-        self.stack: list[tuple[str, _Accumulator | None]] = []
+        # stack frames: (tag, nearest open segmenting accumulator). A segmenting
+        # frame carries its own, any other frame the one of the frame below it.
+        # Frames are pushed and cut off at the top only, so each keeps its index.
+        self.stack: list[tuple[str, _Accumulator]] = []
         self.accumulators: list[_Accumulator] = []
-        self.synthetic = _Accumulator("synthetic")
+        self.synthetic = _Accumulator("synthetic", 0)
         self.anchor_depth = 0
         self.invisible_depth = 0
 
     def _target(self) -> _Accumulator:
-        for _, acc in reversed(self.stack):
-            if acc is not None:
-                return acc
-        return self.synthetic
+        return self.stack[-1][1] if self.stack else self.synthetic
 
     def _append(self, text: str):
         if self.invisible_depth == 0 and text:
-            self._target().segments.append((text, self.anchor_depth > 0))
+            acc = self._target()
+            linked = self.anchor_depth > 0
+            acc.segments.append((text, linked))
+            if text != BREAK_MARK:
+                # regex \s and str.isspace agree on every code point, so this
+                # counts exactly the characters that are not whitespace
+                acc.counts[linked] += len(_WS_RUN.sub("", text))
 
     def handle_starttag(self, tag, attrs):
         if tag in INVISIBLE_TAGS:
@@ -134,21 +142,19 @@ class _BlockWalker(HTMLParser):
         if tag in SEGMENT_TAGS:
             # A new segmenting element closes an open <p>: paragraphs do not
             # nest, and real pages rely on that implicit close.
-            for i in range(len(self.stack) - 1, -1, -1):
-                if self.stack[i][1] is not None:
-                    if self.stack[i][0] == "p":
-                        del self.stack[i:]
-                    break
+            nearest = self._target()
+            if nearest.tag_kind == "paragraph":
+                del self.stack[nearest.depth :]
             # The nested element is a paragraph boundary in its parent's flow.
             self._append(BREAK_MARK)
-            acc = _Accumulator(TAG_KINDS[tag])
+            acc = _Accumulator(TAG_KINDS[tag], len(self.stack))
             self.accumulators.append(acc)
             self.stack.append((tag, acc))
             return
         if tag in BREAK_TAGS:
             self._append(BREAK_MARK)
         if tag not in VOID_TAGS:
-            self.stack.append((tag, None))
+            self.stack.append((tag, self._target()))
 
     def handle_endtag(self, tag):
         if tag in INVISIBLE_TAGS:
@@ -182,16 +188,6 @@ def _render(segments, include_linked: bool) -> str:
     return _BREAK_RUN.sub("\n", joined).strip(" \n")
 
 
-def _count_visible(segments, linked: bool) -> int:
-    # regex \s and str.isspace agree on every code point, so stripping
-    # whitespace runs counts exactly the characters that are not whitespace
-    return sum(
-        len(_WS_RUN.sub("", text))
-        for text, is_linked in segments
-        if text != BREAK_MARK and is_linked == linked
-    )
-
-
 def segment_blocks(doc: RawDocument) -> list[Block]:
     """Split a document into blocks, one per text-bearing segmenting element.
 
@@ -202,25 +198,11 @@ def segment_blocks(doc: RawDocument) -> list[Block]:
     walker = _BlockWalker()
     walker.feed(doc.markup)
     walker.close()
-
-    ordered = [acc for acc in walker.accumulators if acc.has_text()]
-    if walker.synthetic.has_text():
-        ordered.append(walker.synthetic)
-
-    blocks = []
-    for index, acc in enumerate(ordered):
-        segments = tuple(acc.segments)
-        blocks.append(
-            Block(
-                index=index,
-                tag_kind=acc.tag_kind,
-                linked_chars=_count_visible(segments, linked=True),
-                unlinked_chars=_count_visible(segments, linked=False),
-                text=_render(segments, include_linked=True),
-                segments=segments,
-            )
-        )
-    return blocks
+    kept = [acc for acc in (*walker.accumulators, walker.synthetic) if any(acc.counts)]
+    return [
+        Block(index, acc.tag_kind, acc.counts[True], acc.counts[False], tuple(acc.segments))
+        for index, acc in enumerate(kept)
+    ]
 
 
 def link_to_text_ratio(block: Block) -> float:

@@ -4,34 +4,36 @@ from __future__ import annotations
 
 from pathlib import Path
 
-# Classic short English list (function words only, no domain terms).
+# Classic short English list (function words only, no domain terms), without
+# its contractions: tokens never hold an apostrophe, so "don't" could never match.
 DEFAULT_STOPWORDS = frozenset(
     """
-    a about above after again against all am an and any are aren't as at
+    a about above after again against all am an and any are as at
     be because been before being below between both but by
-    can cannot can't could couldn't
-    did didn't do does doesn't doing don't down during
+    can cannot could
+    did do does doing down during
     each few for from further
-    had hadn't has hasn't have haven't having he he'd he'll he's her here
-    here's hers herself him himself his how how's
-    i i'd i'll i'm i've if in into is isn't it it's its itself
-    let's me more most mustn't my myself
+    had has have having he her here hers herself him himself his how
+    i if in into is it its itself
+    me more most my myself
     no nor not of off on once only or other ought our ours ourselves out
     over own
-    same shan't she she'd she'll she's should shouldn't so some such
-    than that that's the their theirs them themselves then there there's
-    these they they'd they'll they're they've this those through to too
+    same she should so some such
+    than that the their theirs them themselves then there these they this
+    those through to too
     under until up very
-    was wasn't we we'd we'll we're we've were weren't what what's when
-    when's where where's which while who who's whom why why's with won't
-    would wouldn't
-    you you'd you'll you're you've your yours yourself yourselves
+    was we were what when where which while who whom why with would
+    you your yours yourself yourselves
     """.split()
 )
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Read a stop-word file: one token per line, UTF-8, blank lines ignored."""
+    """Read a stop-word file: one token per line, UTF-8, blank lines ignored.
+
+    Entries match whole tokens (runs of letters and digits), so an entry with
+    punctuation or inner whitespace never removes anything.
+    """
     words = set()
     with open(path, encoding="utf-8") as fin:
         for line in fin:

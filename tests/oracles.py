@@ -9,8 +9,126 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from html.parser import HTMLParser
 
-from affret import Candidate, CaseBaseBuildError, InputError, selection_idf
+from affret import Block, Candidate, CaseBaseBuildError, InputError, selection_idf
+from affret.segmenter import (
+    BREAK_MARK,
+    BREAK_TAGS,
+    INVISIBLE_TAGS,
+    SEGMENT_TAGS,
+    TAG_KINDS,
+    VOID_TAGS,
+)
+
+_WS_RUN = re.compile(r"\s+")
+
+
+class _Accumulator:
+    def __init__(self, tag_kind: str):
+        self.tag_kind = tag_kind
+        self.segments: list[tuple[str, bool]] = []
+
+    def has_text(self) -> bool:
+        return any(seg != BREAK_MARK and seg.strip() for seg, _ in self.segments)
+
+
+class _BlockWalker(HTMLParser):
+    """Walker behind the reference ``segment_blocks``: scans the stack for every lookup."""
+
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        # stack frames: (tag, accumulator-or-None for non-segmenting tags)
+        self.stack: list[tuple[str, _Accumulator | None]] = []
+        self.accumulators: list[_Accumulator] = []
+        self.synthetic = _Accumulator("synthetic")
+        self.anchor_depth = 0
+        self.invisible_depth = 0
+
+    def _target(self) -> _Accumulator:
+        for _, acc in reversed(self.stack):
+            if acc is not None:
+                return acc
+        return self.synthetic
+
+    def _append(self, text: str):
+        if self.invisible_depth == 0 and text:
+            self._target().segments.append((text, self.anchor_depth > 0))
+
+    def handle_starttag(self, tag, attrs):
+        if tag in INVISIBLE_TAGS:
+            self.invisible_depth += 1
+            return
+        if tag == "a":
+            self.anchor_depth += 1
+            return
+        if tag in SEGMENT_TAGS:
+            for i in range(len(self.stack) - 1, -1, -1):
+                if self.stack[i][1] is not None:
+                    if self.stack[i][0] == "p":
+                        del self.stack[i:]
+                    break
+            self._append(BREAK_MARK)
+            acc = _Accumulator(TAG_KINDS[tag])
+            self.accumulators.append(acc)
+            self.stack.append((tag, acc))
+            return
+        if tag in BREAK_TAGS:
+            self._append(BREAK_MARK)
+        if tag not in VOID_TAGS:
+            self.stack.append((tag, None))
+
+    def handle_endtag(self, tag):
+        if tag in INVISIBLE_TAGS:
+            self.invisible_depth = max(0, self.invisible_depth - 1)
+            return
+        if tag == "a":
+            self.anchor_depth = max(0, self.anchor_depth - 1)
+            return
+        if tag in BREAK_TAGS:
+            self._append(BREAK_MARK)
+        for i in range(len(self.stack) - 1, -1, -1):
+            if self.stack[i][0] == tag:
+                del self.stack[i:]
+                if tag in SEGMENT_TAGS:
+                    self._append(BREAK_MARK)
+                return
+
+    def handle_data(self, data):
+        self._append(data.replace(BREAK_MARK, ""))
+
+
+def _count_visible(segments, linked: bool) -> int:
+    return sum(
+        len(_WS_RUN.sub("", text))
+        for text, is_linked in segments
+        if text != BREAK_MARK and is_linked == linked
+    )
+
+
+def segment_blocks(markup: str) -> list[Block]:
+    """Reference ``segmenter.segment_blocks``: the walk collects, later passes count.
+
+    Every text node's block is found by scanning the tag stack; after the
+    walk each accumulator is asked whether it holds visible text, and the
+    kept ones have their linked and unlinked characters counted separately.
+    """
+    walker = _BlockWalker()
+    walker.feed(markup)
+    walker.close()
+    ordered = [acc for acc in walker.accumulators if acc.has_text()]
+    if walker.synthetic.has_text():
+        ordered.append(walker.synthetic)
+    return [
+        Block(
+            index=index,
+            tag_kind=acc.tag_kind,
+            linked_chars=_count_visible(acc.segments, linked=True),
+            unlinked_chars=_count_visible(acc.segments, linked=False),
+            segments=tuple(acc.segments),
+        )
+        for index, acc in enumerate(ordered)
+    ]
 
 
 def collapse_repeated_phrases(tokens: list[str], min_len: int = 3) -> list[str]:

@@ -6,10 +6,11 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affret import (
+    DEFAULT_STOPWORDS,
     ParseError,
     dedupe_sentences,
     extract_block_text,
@@ -18,7 +19,7 @@ from affret import (
     segment_blocks,
     tokenize,
 )
-from affret.segmenter import _collapse_repeated_phrases, _count_visible
+from affret.segmenter import BREAK_MARK, _TOKEN, _collapse_repeated_phrases
 
 import oracles
 from conftest import fuzz_html
@@ -239,6 +240,10 @@ class TestTokenize:
     def test_underscore_is_not_a_word_character(self):
         assert tokenize("goa_beach") == ["goa", "beach"]
 
+    def test_default_stop_words_are_whole_tokens(self):
+        # an entry that tokenizes to anything else can never equal a token
+        assert sorted(w for w in DEFAULT_STOPWORDS if _TOKEN.findall(w) != [w]) == []
+
 
 class _VisibleCounter:
     """Independent count of visible non-whitespace characters."""
@@ -272,15 +277,69 @@ class _VisibleCounter:
 
 class TestVisibleCharacterCount:
     def test_regex_whitespace_agrees_with_isspace_on_every_code_point(self):
-        # _count_visible strips regex whitespace; the counts it gives equal the
+        # the walker counts visible characters by stripping regex whitespace and
+        # keeps a block when that count is positive; the count equals the
         # per-character isspace count only because the two classes coincide
         text = "".join(map(chr, range(sys.maxunicode + 1)))
         assert re.findall(r"\s", text) == [ch for ch in text if ch.isspace()]
 
     def test_counts_non_whitespace_by_anchor_state(self):
-        segments = (("a\u00a0b\u2003", False), ("\tlink  text", True), ("\n", False))
-        assert _count_visible(segments, linked=False) == 2
-        assert _count_visible(segments, linked=True) == 8
+        (block,) = blocks_of("<p>a\u00a0b\u2003<a>\tlink  text</a>\n</p>")
+        assert (block.unlinked_chars, block.linked_chars) == (2, 8)
+
+
+# Tag-soup pieces in four equally likely groups, so that segmenting elements
+# open inside one another often enough to reach the implicit <p> close.
+SEGMENTING_OPENS = ["<p>", "<div>", "<table>"]
+SEGMENTING_CLOSES = ["</p>", "</div>", "</table>"]
+OTHER_TAG_PIECES = [
+    "<a href='#'>", "</a>",
+    "<h2>", "</h2>", "<li>", "</li>", "<tr>", "<td>", "</td>", "<br>", "<hr/>",
+    "<img src='x.png'>", "<input>",
+    "<script>", "</script>", "<style>", "</style>", "<head>", "</head>", "<title>", "</title>",
+    "<span>", "</span>", "<b>", "</b>", "</em>", "</tr>",
+]
+TEXT_PIECES = [
+    "\u00a0", "\u2003", " \u00a0\u2003 ", "\n",
+    "&#x41;", "&amp;", "&#160;", "&nbsp;", "&#xE000;", f"x{BREAK_MARK}y",
+    "goa", "beach", " temple walk ", "sand.",
+]
+tag_soup = st.lists(
+    st.one_of(
+        *map(st.sampled_from, (SEGMENTING_OPENS, SEGMENTING_CLOSES, OTHER_TAG_PIECES, TEXT_PIECES))
+    ),
+    min_size=1,
+    max_size=40,
+).map("".join)
+
+
+def segmentation_view(block):
+    return (
+        block.index,
+        block.tag_kind,
+        block.linked_chars,
+        block.unlinked_chars,
+        block.segments,
+        block.text,
+        *(extract_block_text(block, threshold) for threshold in (0.0, 0.5, 1.0)),
+    )
+
+
+class TestSegmentationMatchesReference:
+    def assert_matches(self, markup):
+        expected = [segmentation_view(b) for b in oracles.segment_blocks(markup)]
+        assert [segmentation_view(b) for b in blocks_of(markup)] == expected
+
+    @given(st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzz_pages(self, seed):
+        self.assert_matches(fuzz_html(seed))
+
+    @given(tag_soup)
+    @example("<div>a<p>b<div>c</div>d")  # implicit <p> close inside a block
+    @settings(max_examples=1000, deadline=None)
+    def test_tag_soup(self, markup):
+        self.assert_matches(markup)
 
 
 class TestFuzzProperties:
