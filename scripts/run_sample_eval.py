@@ -53,11 +53,10 @@ def main() -> int:
     print(f"reports: {rows_path}, {summary_path}")
     print(f"{'query':<6} {'tau':>7} {'pool':>5} {'p@k base':>9} {'p@k final':>10}")
     for s in report.summaries:
-        tau = "n/a" if s.kendall_tau is None else f"{s.kendall_tau:.3f}"
-        print(
-            f"{s.query_id:<6} {tau:>7} {s.pool_size:>5}"
-            f" {s.precision_baseline:>9.3f} {s.precision_final:>10.3f}"
+        tau, base, final = (
+            "n/a" if x is None else f"{x:.3f}" for x in (s.kendall_tau, s.precision_baseline, s.precision_final)
         )
+        print(f"{s.query_id:<6} {tau:>7} {s.pool_size:>5} {base:>9} {final:>10}")
     return 0
 
 

@@ -53,7 +53,6 @@ from .lexicon import (
     Lexicon,
     Topic,
     load_lexicon,
-    match_count,
     save_lexicon,
     serialize_lexicon,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "load_qrels",
     "load_queries",
     "load_stopwords",
-    "match_count",
     "normalize_av",
     "parse_document",
     "populate_case_base",

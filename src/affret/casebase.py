@@ -32,6 +32,7 @@ from .errors import (
 )
 from .lexicon import Lexicon, Topic
 from .segmenter import RawDocument, dedupe_sentences, extract_block_text, parse_document, segment_blocks, tokenize
+from .stopwords import DEFAULT_STOPWORDS
 
 logger = logging.getLogger(__name__)
 
@@ -80,12 +81,15 @@ class Case:
 
 @dataclass
 class CaseBase:
-    lexicon_fingerprint: str
     cases: list[Case]
     corpus_stats: CorpusStats
     lexicon: Lexicon
     config: BuildConfig
     _by_id: dict[str, Case] = field(default=None, repr=False, compare=False)
+
+    @property
+    def lexicon_fingerprint(self) -> str:
+        return self.lexicon.fingerprint()
 
     def case(self, doc_id: str) -> Case:
         if self._by_id is None:
@@ -189,6 +193,12 @@ def populate_case_base(
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
         raise InputError(f"corpus directory not found: {corpus_dir}")
+    stops = DEFAULT_STOPWORDS if stop_words is None else stop_words
+    for topic in lexicon.topics:
+        for term in sorted(topic.terms):
+            if hits := [word for word in tokenize(term, frozenset()) if word in stops]:
+                message = "lexicon term %r of topic %r can never match: stop-worded text drops %s"
+                logger.warning(message, term, topic.name, ", ".join(hits))
 
     df: Counter = Counter()
     n_cases = 0
@@ -209,15 +219,11 @@ def populate_case_base(
         tokenized.append((doc_id, block_tokens))
 
     stats = CorpusStats(df=dict(df), n_cases=n_cases)
-    cases = []
-    for doc_id, block_tokens in tokenized:
-        case = _case_from_tokens(doc_id, block_tokens, lexicon, config, stats)
-        if case is not None:
-            cases.append(case)
+    # pass 1 kept only documents with tokens, so each one selects a term
+    cases = [_case_from_tokens(doc_id, block_tokens, lexicon, config, stats) for doc_id, block_tokens in tokenized]
     if not cases:
         raise CaseBaseBuildError(f"no admissible cases in {corpus_dir}")
     return CaseBase(
-        lexicon_fingerprint=lexicon.fingerprint(),
         cases=cases,
         corpus_stats=stats,
         lexicon=lexicon,
@@ -317,6 +323,8 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise CaseBaseFormatError(f"{path}: malformed case at line {lineno} ({exc})") from exc
+            if not case.prob_desc:
+                raise CaseBaseFormatError(f"{path}: case {case.doc_id!r} at line {lineno} has an empty prob_desc")
             if len(case.av) != m or len(case.av_revised) != m:
                 raise CaseBaseFormatError(
                     f"{path}: case {case.doc_id!r} has dimension {len(case.av)}, header says {m}"
@@ -336,7 +344,13 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
             body = record["corpus_stats"]
             try:
                 stats = CorpusStats(df={t: int(v) for t, v in body["df"].items()}, n_cases=int(body["N"]))
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                # selection_idf needs N as a float, and is positive only for
+                # N >= 1 and every df in [0, N]
+                n, dfs = stats.n_cases, stats.df.values()
+                float(n)
+                if n < 1 or min(dfs, default=0) < 0 or max(dfs, default=0) > n:
+                    raise ValueError(f"need N >= 1 and 0 <= df <= N, N is {n}")
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise CaseBaseFormatError(f"{path}: malformed corpus_stats at line {lineno} ({exc})") from exc
         elif "lexicon" in record:
             try:
@@ -369,7 +383,6 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
                 f"(m={m}, active m={lexicon.m})"
             )
     return CaseBase(
-        lexicon_fingerprint=header["lexicon_fingerprint"],
         cases=cases,
         corpus_stats=stats,
         lexicon=embedded,
@@ -391,6 +404,8 @@ def revise_case_affordance(case: Case, query_av: AffordanceVector, eta: float) -
     proportional to the vector's own length, so feedback strength scales with
     the case rather than with raw query counts. The stored raw counts in
     ``av`` are never touched; ``eta = 0`` disables feedback entirely.
+    Repeated aligned feedback grows the vector geometrically; a step that
+    would overflow is taken from the vector scaled to a peak of 1 instead.
     """
     if not 0.0 <= eta <= 1.0:
         raise InputError("eta must lie in [0, 1]")
@@ -398,19 +413,10 @@ def revise_case_affordance(case: Case, query_av: AffordanceVector, eta: float) -
         raise DimensionError(f"dimension mismatch: {len(query_av)} vs {len(case.av_revised)}")
     if eta == 0.0:
         return case
-    return _revise_toward(case, normalize_av(query_av), eta)
-
-
-def _revise_toward(case: Case, direction: AffordanceVector, eta: float) -> Case:
-    """``revise_case_affordance`` for ``direction = normalize_av(query_av)`` and 0 < eta <= 1.
-
-    Lets a caller revising many cases toward one query normalize it once.
-    """
+    direction = normalize_av(query_av)
     revised = _step(case.av_revised, direction, eta)
     if not all(map(math.isfinite, revised)):
-        # Repeated aligned feedback grows the vector geometrically until it
-        # overflows. Only its direction is ever read (through cosine), and
-        # the step is scale-invariant, so shrink it to a peak of 1 first.
+        # cosine reads only the direction, and the step is scale-invariant
         peak = max(map(abs, case.av_revised))
         revised = _step([v / peak for v in case.av_revised], direction, eta)
     case.av_revised = revised

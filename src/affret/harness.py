@@ -16,8 +16,8 @@ import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .affordance import compute_query_affordance, normalize_av
-from .casebase import CaseBase, BuildConfig, _revise_toward
+from .affordance import compute_query_affordance
+from .casebase import CaseBase, BuildConfig, revise_case_affordance
 from .errors import InputError, QueryFormatError
 from .retrieval import InvertedIndex, Query, rerank, retrieve_top_k
 from .segmenter import tokenize
@@ -200,9 +200,8 @@ def run_experiment(
             summary.precision_final = _precision_at_k(final_order, query.query_id, qrels, config.k_retrieve)
         summaries.append(summary)
         if feedback:
-            direction = normalize_av(query_av)
             for cand in pool:
-                _revise_toward(cand.case, direction, config.eta)
+                revise_case_affordance(cand.case, query_av, config.eta)
 
     echo = {**asdict(config), "use_desc": use_desc, "lexicon_fingerprint": cb.lexicon_fingerprint}
     return RunReport(rows=rows, summaries=summaries, config_echo=echo, has_precision=qrels is not None)

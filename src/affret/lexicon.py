@@ -9,6 +9,10 @@ File format, one topic per line, ``#`` comments allowed:
 occurrences matching no other topic. Topic order is significant: element i of
 every affordance vector refers to topic i for the life of a case base.
 
+Terms are split by ``segmenter.tokenize`` with no stop words, so every word
+is kept; text is stop-worded before matching, so a term holding a stop word
+never matches (``populate_case_base`` warns of each).
+
 Matching is compiled: on first use every topic's terms go into one table
 from token n-gram to the ids of the topics holding it, so a block is matched
 against all topics in one pass over its tokens. Each topic keeps its own
@@ -20,18 +24,17 @@ because lexicon phrases are only a few tokens long.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .errors import InputError, LexiconFormatError
-
-_TERM_TOKEN = re.compile(r"[^\W_]+")
+from .errors import LexiconFormatError
+from .segmenter import tokenize
 
 
 def _term_tokens(term: str) -> tuple[str, ...]:
-    return tuple(_TERM_TOKEN.findall(term.casefold()))
+    # no stop words: a term is kept whole, whatever words it holds
+    return tuple(tokenize(term, frozenset()))
 
 
 @dataclass
@@ -141,20 +144,6 @@ class Lexicon:
         matched.
         """
         return self._table.counts(tokens)
-
-
-def match_count(tokens: list[str], topic: Topic, lexicon: Lexicon | None = None) -> int:
-    """Occurrences of a topic's terms in a token list, multiplicity included.
-
-    For the miscellaneous topic the count is complementary (tokens matching
-    no other topic), which requires the owning lexicon.
-    """
-    if topic.miscellaneous:
-        if lexicon is None:
-            raise InputError("miscellaneous match_count needs the owning lexicon")
-        index = next(i for i, t in enumerate(lexicon.topics) if t.miscellaneous)
-        return lexicon.match_counts(tokens)[index]
-    return _PhraseTable([topic]).counts(tokens)[0]
 
 
 def _canonical_terms(raw_terms: str, topic_name: str) -> frozenset[str]:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from .affordance import AffordanceVector, cosine_to_unit, normalize_av
 from .casebase import Case, CaseBase, CorpusStats, selection_idf
-from .errors import CaseBaseBuildError, InputError
+from .errors import CaseBaseBuildError, CaseBaseFormatError, InputError
 
 
 @dataclass
@@ -85,13 +85,14 @@ class InvertedIndex:
             descriptions, norms = self.descriptions, self.doc_norms
             # tf is max(1, round(weight / selection)) as in postings and
             # case_tfs, spelled without the max() call: this runs per posting
-            entry = self._entries[term] = (
-                term_ordinals,
-                [
+            try:
+                contributions = [
                     (tf if (tf := round(descriptions[ordinal][term] / selection)) > 1 else 1) * idf_sq * norms[ordinal]
                     for ordinal in term_ordinals
-                ],
-            )
+                ]
+            except OverflowError as exc:
+                raise CaseBaseFormatError(f"case base weight of {term!r} is too large to recover its tf") from exc
+            entry = self._entries[term] = (term_ordinals, contributions)
         return entry
 
     @cached_property

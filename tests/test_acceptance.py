@@ -91,7 +91,6 @@ def case_base_from_token_lists(doc_tokens: dict[str, list[str]], lexicon: Lexico
         av = compute_block_affordance(doc_tokens[doc_id], lexicon)
         cases.append(Case(doc_id=doc_id, prob_desc=prob_desc, av=av, av_revised=list(av)))
     return CaseBase(
-        lexicon_fingerprint=lexicon.fingerprint(),
         cases=cases,
         corpus_stats=stats,
         lexicon=lexicon,

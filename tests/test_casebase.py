@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
 
 import pytest
@@ -217,6 +218,34 @@ class TestPopulateCaseBase:
                 av = compute_block_affordance(tokenize(dedupe_sentences(text)), lexicon3)
                 expected = [a + b for a, b in zip(expected, av)]
             assert case.av == expected
+
+    def test_terms_holding_stop_words_are_reported(self, make_corpus, caplog):
+        lexicon = Lexicon(
+            topics=[
+                Topic(name="Accommodation", terms=frozenset({"bed and breakfast", "hostel"})),
+                Topic(name="Heritage", terms=frozenset({"hill of temples"})),
+                Topic(name="Views", terms=frozenset({"over", "river"})),
+                Topic(name="Miscellaneous", terms=frozenset(), miscellaneous=True),
+            ]
+        )
+        text = "A bed and breakfast near the hill of temples, over the river"
+        corpus = make_corpus({"a.html": f"<p>{text}</p>"})
+        with caplog.at_level(logging.WARNING, logger="affret"):
+            cb = populate_case_base(corpus, lexicon, BuildConfig())
+        # only "river" survives stop-wording as a term
+        assert cb.cases[0].av == [0.0, 0.0, 1.0, 5.0]
+        dead = "lexicon term %r of topic %r can never match: stop-worded text drops %s"
+        assert [r.getMessage() for r in caplog.records] == [
+            dead % ("bed and breakfast", "Accommodation", "and"),
+            dead % ("hill of temples", "Heritage", "of"),
+            dead % ("over", "Views", "over"),
+        ]
+        # the build's own stop list decides: one that spares these words reports none
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="affret"):
+            spared = populate_case_base(corpus, lexicon, BuildConfig(), stop_words=frozenset({"a", "the"}))
+        assert not caplog.records
+        assert spared.cases[0].av == [1.0, 1.0, 2.0, 1.0]
 
 
 class TestPersistence:

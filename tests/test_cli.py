@@ -106,16 +106,23 @@ class TestQuery:
         assert main(["query", "--cb", str(workspace / "no.jsonl"), "--text", "beach"]) == 1
 
     def test_overflowing_weight_is_a_format_error(self, workspace, capsys):
-        main(build_args(workspace))
-        path = workspace / "cb.jsonl"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        case = json.loads(lines[1])
-        term = case["prob_desc"][0][0]
-        case["prob_desc"][0][1] = "@value@"
-        lines[1] = json.dumps(case, sort_keys=True).replace('"@value@"', "1e999") + "\n"
-        path.write_text("".join(lines), encoding="utf-8")
-        assert main(["query", "--cb", str(path), "--text", term]) == 1
-        assert "non-finite prob_desc value" in capsys.readouterr().err
+        # 1e999 loads as inf; 1.5e308 is finite, but "beach" is in 2 of the
+        # 3 cases, so its selection idf is below 1 and the tf it decodes is not
+        for value, message in (
+            ("1e999", "non-finite prob_desc value"),
+            ("1.5e308", "case base weight of 'beach' is too large to recover its tf"),
+        ):
+            assert main(build_args(workspace)) == 0
+            path = workspace / "cb.jsonl"
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            case = json.loads(lines[1])
+            at = [term for term, _ in case["prob_desc"]].index("beach")
+            case["prob_desc"][at][1] = "@value@"
+            lines[1] = json.dumps(case, sort_keys=True).replace('"@value@"', value) + "\n"
+            path.write_text("".join(lines), encoding="utf-8")
+            capsys.readouterr()
+            assert main(["query", "--cb", str(path), "--text", "beach"]) == 1
+            assert message in capsys.readouterr().err
 
 
 class TestEval:
@@ -184,6 +191,20 @@ def _list_doc_id(records):
     records[1]["doc_id"] = ["a.html"]
 
 
+def _empty_prob_desc(records):
+    records[1]["prob_desc"] = []
+
+
+def _set_stats(N=None, **df):
+    def edit(records):
+        body = records[-2]["corpus_stats"]
+        if N is not None:
+            body["N"] = N
+        body["df"].update(df)
+
+    return edit
+
+
 def _set_header(key, value):
     def edit(records):
         records[0][key] = value
@@ -205,8 +226,16 @@ class TestMalformedCaseBase:
             (_set_header("m", True), "header m must be an integer, got True"),
             (_set_header("N", "3"), "header N must be an integer, got '3'"),
             (_set_header("N", None), "header N must be an integer, got None"),
+            (_empty_prob_desc, "case 'a.html' at line 2 has an empty prob_desc"),
+            (_set_stats(N=0), "malformed corpus_stats at line 5"),
+            (_set_stats(beach=-2), "malformed corpus_stats at line 5"),
+            (_set_stats(beach=3 * 10**20), "malformed corpus_stats at line 5"),
+            (_set_stats(N=10**400), "malformed corpus_stats at line 5"),
         ],
-        ids=["no-df", "list-df", "nameless-topic", "list-doc-id", "m-str", "m-float", "m-bool", "N-str", "N-null"],
+        ids=[
+            "no-df", "list-df", "nameless-topic", "list-doc-id", "m-str", "m-float", "m-bool", "N-str", "N-null",
+            "empty-prob-desc", "N-zero", "df-negative", "df-above-N", "N-too-large",
+        ],
     )
     def test_malformed_record_is_a_format_error(self, workspace, capsys, edit, message):
         assert main(build_args(workspace)) == 0

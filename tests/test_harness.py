@@ -235,6 +235,24 @@ class TestRunExperiment:
         assert all(list(c.av) == raw_avs[c.doc_id] for c in cb.cases)
         assert any(c.av_revised != c.av for c in cb.cases)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    def test_feedback_goes_through_revise_case_affordance(self, tmp_path, shift_setup, monkeypatch, eta):
+        cb, index = shift_setup
+        calls = []
+
+        def counting(case, query_av, rate):
+            calls.append(case.doc_id)
+            return revise_case_affordance(case, query_av, rate)
+
+        monkeypatch.setattr("affret.harness.revise_case_affordance", counting)
+        blocks = [topic_block("Q1", "temple visit"), topic_block("Q2", "beach"), topic_block("Q3", "zzzqqq")]
+        queries = load_queries(write_queries(tmp_path, blocks))
+        report = run_experiment(cb, index, queries, BuildConfig(eta=eta))
+        # each pool member once, in query order and then in baseline order
+        pools = [r.doc_id for r in sorted(report.rows, key=lambda r: (r.query_id, r.baseline_rank))]
+        assert len(pools) == 5
+        assert calls == (pools if eta else [])
+
     def test_feedback_equals_per_candidate_revisions(self, tmp_path, lexicon3):
         rng = random.Random(7)
         pages = {

@@ -66,7 +66,6 @@ class TestBuildIndex:
 
     def test_empty_case_base_rejected(self, lexicon3):
         empty = CaseBase(
-            lexicon_fingerprint=lexicon3.fingerprint(),
             cases=[],
             corpus_stats=CorpusStats(df={}, n_cases=0),
             lexicon=lexicon3,
@@ -88,7 +87,6 @@ class TestBuildIndex:
 
     def test_description_insertion_order_is_irrelevant(self, small_case_base):
         shuffled = CaseBase(
-            lexicon_fingerprint=small_case_base.lexicon_fingerprint,
             cases=[
                 Case(
                     doc_id=c.doc_id,
@@ -209,7 +207,6 @@ def case_base_of(descriptions: list[dict[str, int]], doc_ids: list[str]) -> Case
         for doc_id, desc in zip(doc_ids, descriptions)
     ]
     return CaseBase(
-        lexicon_fingerprint=MISC_ONLY.fingerprint(),
         cases=cases,
         corpus_stats=stats,
         lexicon=MISC_ONLY,
@@ -297,7 +294,6 @@ def weighted_case_bases(draw):
         for doc_id, desc in zip(doc_ids, descriptions)
     ]
     return CaseBase(
-        lexicon_fingerprint=MISC_ONLY.fingerprint(),
         cases=cases,
         corpus_stats=stats,
         lexicon=MISC_ONLY,
