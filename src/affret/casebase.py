@@ -4,7 +4,9 @@ One case per admitted document: a problem description (the top-k
 discriminative terms of each block, weighted by block-local tf-idf) plus a
 solution (the document's affordance vector and id). The build is two-pass so
 document frequencies exist before term selection; pass order is sorted by
-doc_id, which makes rebuilds bit-identical.
+doc_id, which makes rebuilds bit-identical. Pass 1 keeps each page's block
+term counts and affordance vector, not its tokens; pass 2 takes each
+distinct term's selection idf once per page.
 
 Persistence is line-delimited JSON with sorted keys and floats quantized to
 12 significant digits *at construction time*, so the in-memory case base and
@@ -102,53 +104,47 @@ def selection_idf(term: str, stats: CorpusStats) -> float:
     return math.log(1.0 + stats.n_cases / (1.0 + stats.df.get(term, 0)))
 
 
-def select_top_k_terms(tokens: list[str], corpus_stats: CorpusStats, k: int) -> list[tuple[str, float]]:
+def select_top_k_terms(tf: Counter, idf: dict[str, float], k: int) -> list[tuple[str, float]]:
     """The k distinct highest tf-idf terms of a block, ties broken by term order.
 
-    tf is the in-block count; fewer than k distinct tokens returns them all.
+    ``tf`` holds the block's term counts and ``idf`` the selection idf of each
+    of its terms; fewer than k distinct terms returns them all.
     """
-    tf = Counter(tokens)
-    weighted = [(term, round12(count * selection_idf(term, corpus_stats))) for term, count in tf.items()]
+    weighted = [(term, round12(count * idf[term])) for term, count in tf.items()]
     weighted.sort(key=lambda tw: (-tw[1], tw[0]))
     return weighted[:k]
 
 
-def _block_token_lists(
-    doc: RawDocument, tau: float, stop_words: frozenset[str] | None
-) -> list[list[str]]:
-    """Run segment -> link filter -> dedupe -> tokenize; noise blocks drop out."""
-    token_lists = []
+def _describe(
+    doc: RawDocument, lexicon: Lexicon, tau: float, stop_words: frozenset[str] | None
+) -> tuple[list[Counter], AffordanceVector]:
+    """Each kept block's term counts and the page's affordance vector; noise blocks drop out."""
+    block_tfs = []
+    block_avs = []
     for block in segment_blocks(doc):
         text = extract_block_text(block, tau)
         if not text:
             continue
-        token_lists.append(tokenize(dedupe_sentences(text), stop_words))
-    return token_lists
+        tokens = tokenize(dedupe_sentences(text), stop_words)
+        block_tfs.append(Counter(tokens))
+        block_avs.append(compute_block_affordance(tokens, lexicon))
+    return block_tfs, compute_doc_affordance(block_avs, m=lexicon.m)
 
 
-def _case_from_tokens(
-    doc_id: str,
-    block_tokens: list[list[str]],
-    lexicon: Lexicon,
-    config: BuildConfig,
-    corpus_stats: CorpusStats,
+def _case(
+    doc_id: str, block_tfs: list[Counter], av: AffordanceVector, k: int, corpus_stats: CorpusStats
 ) -> Case | None:
-    selected: set[str] = set()
-    max_tf: Counter = Counter()
-    for tokens in block_tokens:
-        for term, _ in select_top_k_terms(tokens, corpus_stats, config.k_terms):
-            selected.add(term)
-        for term, count in Counter(tokens).items():
-            if count > max_tf[term]:
+    # not Counter's |=, which calls __missing__ per new term and sweeps every block
+    max_tf: dict[str, int] = {}
+    for tf in block_tfs:
+        for term, count in tf.items():
+            if count > max_tf.get(term, 0):
                 max_tf[term] = count
-    if not selected:
+    if not max_tf:
         return None
-    prob_desc = {
-        term: round12(max_tf[term] * selection_idf(term, corpus_stats))
-        for term in sorted(selected)
-    }
-    block_avs = [compute_block_affordance(tokens, lexicon) for tokens in block_tokens]
-    av = compute_doc_affordance(block_avs, m=lexicon.m)
+    idf = {term: selection_idf(term, corpus_stats) for term in max_tf}
+    selected = {term for tf in block_tfs for term, _ in select_top_k_terms(tf, idf, k)}
+    prob_desc = {term: round12(max_tf[term] * idf[term]) for term in sorted(selected)}
     return Case(doc_id=doc_id, prob_desc=prob_desc, av=av, av_revised=list(av))
 
 
@@ -160,8 +156,8 @@ def build_case(
     stop_words: frozenset[str] | None = None,
 ) -> Case | None:
     """Build one case, or None when every block filters out as noise."""
-    block_tokens = _block_token_lists(doc, config.tau, stop_words)
-    case = _case_from_tokens(doc.doc_id, block_tokens, lexicon, config, corpus_stats)
+    block_tfs, av = _describe(doc, lexicon, config.tau, stop_words)
+    case = _case(doc.doc_id, block_tfs, av, config.k_terms, corpus_stats)
     if case is None:
         logger.info("skipping %s: no admissible text blocks", doc.doc_id)
     return case
@@ -185,8 +181,9 @@ def populate_case_base(
 ) -> CaseBase:
     """Two-pass batch build over a directory of .html/.htm files.
 
-    Pass 1 tokenizes every document in sorted doc_id order and accumulates
-    document frequencies; pass 2 constructs cases in the same order. Documents
+    Pass 1 describes every document in sorted doc_id order (its blocks' term
+    counts and its affordance vector) and accumulates document frequencies;
+    pass 2 selects terms and constructs cases in the same order. Documents
     that fail to parse or contain no admissible text are skipped with a
     logged diagnostic.
     """
@@ -202,25 +199,25 @@ def populate_case_base(
 
     df: Counter = Counter()
     n_cases = 0
-    tokenized: list[tuple[str, list[list[str]]]] = []
+    described: list[tuple[str, list[Counter], AffordanceVector]] = []
     for doc_id, path in _corpus_files(corpus_dir):
         try:
             doc = parse_document(path.read_bytes(), doc_id)
         except ParseError as exc:
             logger.warning("skipping %s: %s", doc_id, exc)
             continue
-        block_tokens = _block_token_lists(doc, config.tau, stop_words)
-        doc_terms = {term for tokens in block_tokens for term in tokens}
+        block_tfs, av = _describe(doc, lexicon, config.tau, stop_words)
+        doc_terms = set().union(*block_tfs)
         if not doc_terms:
             logger.info("skipping %s: no admissible text blocks", doc_id)
             continue
         df.update(doc_terms)
         n_cases += 1
-        tokenized.append((doc_id, block_tokens))
+        described.append((doc_id, block_tfs, av))
 
     stats = CorpusStats(df=dict(df), n_cases=n_cases)
     # pass 1 kept only documents with tokens, so each one selects a term
-    cases = [_case_from_tokens(doc_id, block_tokens, lexicon, config, stats) for doc_id, block_tokens in tokenized]
+    cases = [_case(doc_id, block_tfs, av, config.k_terms, stats) for doc_id, block_tfs, av in described]
     if not cases:
         raise CaseBaseBuildError(f"no admissible cases in {corpus_dir}")
     return CaseBase(
@@ -376,6 +373,8 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
         raise CaseBaseFormatError(f"{path}: embedded lexicon dimension {embedded.m} != header m {m}")
     if embedded_fingerprint != header["lexicon_fingerprint"]:
         raise CaseBaseFormatError(f"{path}: embedded lexicon does not match header fingerprint")
+    if header["N"] != stats.n_cases:
+        raise CaseBaseFormatError(f"{path}: header N {header['N']} != corpus_stats N {stats.n_cases}")
     if lexicon is not None:
         if lexicon.fingerprint() != header["lexicon_fingerprint"]:
             raise CompatibilityError(

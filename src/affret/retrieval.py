@@ -15,19 +15,19 @@ is not associative, and a fixed order is what makes ranking byte-stable
 across runs.
 
 ``build_index`` stores only what every query needs: the ordinals of the
-cases holding each term (which also give the term's idf), each case's norm
-and the doc_id -> ordinal map. Stage one runs term at a time. The first
-query that uses a term fills the index's scoring entry for it: the term's
-posting ordinals and each posting's contribution ``tf * idf^2 * norm``, with
-tf recovered from the case's ``prob_desc`` weight at that moment. That is
-the tf ``baseline_score`` uses and the same expression evaluated in the same
-order, so the same float. A query adds the entries of its terms, in sorted
+cases holding each term (which also give the term's idf) and each case's
+norm. Stage one runs term at a time. The first query that uses a term fills
+the index's scoring entry for it: the term's posting ordinals and each
+posting's contribution ``tf * idf^2 * norm``, with tf recovered from the
+case's ``prob_desc`` weight at that moment. ``baseline_score`` recovers tf
+and norm from the case's own ``prob_desc`` with the same expressions, so
+the same floats. A query adds the entries of its terms, in sorted
 term order, into per-ordinal sums, which is the order in which
 ``baseline_score`` adds a case's matched terms. Selection keeps the scores at
 or above the k-th largest (so ties at the cut survive), sorts only those,
 and builds candidates for the k it returns. The ``(ordinal, tf)`` posting
 lists and per-case tf maps that reference scorers read are built on first
-access, never by a query.
+access, never by a query or by ``baseline_score``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class InvertedIndex:
     term_ordinals: dict[str, list[int]]
     doc_norms: list[float]
     n_cases: int
-    ordinals: dict[str, int]
     # each case's prob_desc, by ordinal, and the corpus stats: a posting's tf
     # is recovered when it is first needed as max(1, round(weight / selection
     # idf)), exact because weights are quantized well past integer resolution
@@ -112,7 +111,7 @@ class InvertedIndex:
     def case_tfs(self) -> list[dict[str, int]]:
         """Per case ordinal, term -> tf in description order; built on first access.
 
-        Read by ``baseline_score`` only, never by the query path.
+        Read by reference scorers only, never by the query path.
         """
         selections: dict[str, float] = {}
         case_tfs = []
@@ -168,7 +167,6 @@ def build_index(cb: CaseBase) -> InvertedIndex:
         term_ordinals=term_ordinals,
         doc_norms=doc_norms,
         n_cases=len(cb.cases),
-        ordinals={case.doc_id: ordinal for ordinal, case in enumerate(cb.cases)},
         descriptions=descriptions,
         corpus_stats=cb.corpus_stats,
     )
@@ -180,15 +178,16 @@ def baseline_score(q_tokens: list[str], case: Case, index: InvertedIndex) -> flo
     q_terms = sorted(set(q_tokens))
     if not q_terms:
         return 0.0
-    ordinal = index.ordinals[case.doc_id]
-    tfs = index.case_tfs[ordinal]
-    matched = [t for t in q_terms if t in tfs]
+    description = case.prob_desc
+    matched = [t for t in q_terms if t in description]
     if not matched:
         return 0.0
     coord = len(matched) / len(q_terms)
+    norm = 1.0 / math.sqrt(len(description))
     total = 0.0
     for t in matched:
-        total += tfs[t] * index.idf(t) ** 2 * index.doc_norms[ordinal]
+        tf = max(1, round(description[t] / selection_idf(t, index.corpus_stats)))
+        total += tf * index.idf(t) ** 2 * norm
     return coord * total
 
 

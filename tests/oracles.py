@@ -240,7 +240,6 @@ class Index:
     postings: dict[str, list[tuple[int, int]]]
     doc_norms: list[float]
     n_cases: int
-    ordinals: dict[str, int]
     case_tfs: list[dict[str, int]]
 
     def idf(self, term: str) -> float:
@@ -259,11 +258,9 @@ def build_index(cb) -> Index:
         raise CaseBaseBuildError("cannot index an empty case base")
     postings: dict[str, list[tuple[int, int]]] = {}
     case_tfs: list[dict[str, int]] = []
-    ordinals: dict[str, int] = {}
     doc_norms: list[float] = []
     idfs: dict[str, float] = {}
     for ordinal, case in enumerate(cb.cases):
-        ordinals[case.doc_id] = ordinal
         doc_norms.append(1.0 / math.sqrt(len(case.prob_desc)))
         tfs: dict[str, int] = {}
         for term, weight in case.prob_desc.items():
@@ -277,6 +274,5 @@ def build_index(cb) -> Index:
         postings=postings,
         doc_norms=doc_norms,
         n_cases=len(cb.cases),
-        ordinals=ordinals,
         case_tfs=case_tfs,
     )

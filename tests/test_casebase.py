@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from affret import (
     DimensionError,
     InputError,
     Lexicon,
+    ParseError,
     Topic,
     build_case,
     compute_block_affordance,
@@ -35,6 +37,8 @@ from affret import (
     selection_idf,
     tokenize,
 )
+
+from conftest import fuzz_html
 
 
 class TestRound12:
@@ -71,33 +75,43 @@ class TestBuildConfig:
             BuildConfig(**kwargs)
 
 
+def top_k(tokens: list[str], stats: CorpusStats, k: int) -> list[tuple[str, float]]:
+    """``select_top_k_terms`` over a block's tokens, with each term's selection idf."""
+    tf = Counter(tokens)
+    return select_top_k_terms(tf, {term: selection_idf(term, stats) for term in tf}, k)
+
+
 class TestSelectTopKTerms:
     def test_tf_dominates_at_equal_idf(self):
         stats = CorpusStats(df={"beach": 1, "goa": 1}, n_cases=2)
-        top = select_top_k_terms(["beach", "beach", "goa"], stats, k=1)
+        top = top_k(["beach", "beach", "goa"], stats, k=1)
         assert [t for t, _ in top] == ["beach"]
 
     def test_saturation_returns_all_distinct(self):
         stats = CorpusStats(df={}, n_cases=1)
-        top = select_top_k_terms(["a", "b", "a"], stats, k=10)
+        top = top_k(["a", "b", "a"], stats, k=10)
         assert sorted(t for t, _ in top) == ["a", "b"]
 
     def test_lexicographic_tie_break(self):
         stats = CorpusStats(df={"a": 1, "b": 1}, n_cases=2)
-        top = select_top_k_terms(["a", "b"], stats, k=1)
+        top = top_k(["a", "b"], stats, k=1)
         assert [t for t, _ in top] == ["a"]
 
     def test_weights_are_tf_times_idf(self):
         stats = CorpusStats(df={"rare": 1, "common": 9}, n_cases=10)
-        top = dict(select_top_k_terms(["rare", "common"], stats, k=2))
+        top = dict(top_k(["rare", "common"], stats, k=2))
         assert top["rare"] == round12(selection_idf("rare", stats))
         assert top["rare"] > top["common"]
 
     def test_rarer_term_outranks_frequent_common_one(self):
         # tf 2 on a ubiquitous term loses to tf 1 on a rare one
         stats = CorpusStats(df={"rare": 1, "common": 99}, n_cases=100)
-        top = select_top_k_terms(["common", "common", "rare"], stats, k=1)
+        top = top_k(["common", "common", "rare"], stats, k=1)
         assert [t for t, _ in top] == ["rare"]
+
+    def test_reads_weights_from_the_given_idf_map(self):
+        top = select_top_k_terms(Counter({"a": 2, "b": 1}), {"a": 0.25, "b": 3.0}, k=2)
+        assert top == [("b", 3.0), ("a", 0.5)]
 
 
 def doc(markup: str, doc_id: str = "d"):
@@ -246,6 +260,43 @@ class TestPopulateCaseBase:
             spared = populate_case_base(corpus, lexicon, BuildConfig(), stop_words=frozenset({"a", "the"}))
         assert not caplog.records
         assert spared.cases[0].av == [1.0, 1.0, 2.0, 1.0]
+
+
+class TestBuildCaseAgreesWithPopulate:
+    PAGES = {
+        # zircon is among the top 2 of the second block only, but counted 3 times in the first
+        "split.html": "<p>xenon xenon xenon xenon yodel yodel yodel yodel zircon zircon zircon</p><p>zircon quokka</p>",
+        "stops.html": "<p>the and of</p><p>quokka harbor</p>",
+        "anchors.html": '<p><a href="/">home</a></p><div><a href="/x">more links</a></div>',
+    }
+
+    def test_each_page_alone_builds_its_case(self, make_corpus, lexicon3):
+        pages = {f"fuzz{seed:02d}.html": fuzz_html(seed) for seed in range(30)} | self.PAGES
+        corpus = make_corpus(pages)
+        (corpus / "latin1.html").write_bytes("<p>caf\xe9 beach</p>".encode("latin-1"))
+        config = BuildConfig(k_terms=2)
+        cb = populate_case_base(corpus, lexicon3, config)
+        stats = cb.corpus_stats
+
+        def alone(path):
+            try:
+                document = parse_document(path.read_bytes(), path.name)
+            except ParseError:
+                return None
+            return build_case(document, lexicon3, config, stats)
+
+        built = {case.doc_id: case for case in cb.cases}
+        for path in sorted(corpus.iterdir()):
+            case = alone(path)
+            if path.name in built:
+                assert (case.prob_desc, case.av) == (built[path.name].prob_desc, built[path.name].av)
+            else:
+                assert case is None
+        assert {"anchors.html", "latin1.html"}.isdisjoint(built)
+        split = built["split.html"].prob_desc
+        assert sorted(split) == ["quokka", "xenon", "yodel", "zircon"]
+        assert split["zircon"] == round12(3 * selection_idf("zircon", stats))
+        assert sorted(built["stops.html"].prob_desc) == ["harbor", "quokka"]
 
 
 class TestPersistence:

@@ -226,6 +226,7 @@ class TestMalformedCaseBase:
             (_set_header("m", True), "header m must be an integer, got True"),
             (_set_header("N", "3"), "header N must be an integer, got '3'"),
             (_set_header("N", None), "header N must be an integer, got None"),
+            (_set_header("N", 999), "header N 999 != corpus_stats N 3"),
             (_empty_prob_desc, "case 'a.html' at line 2 has an empty prob_desc"),
             (_set_stats(N=0), "malformed corpus_stats at line 5"),
             (_set_stats(beach=-2), "malformed corpus_stats at line 5"),
@@ -234,7 +235,7 @@ class TestMalformedCaseBase:
         ],
         ids=[
             "no-df", "list-df", "nameless-topic", "list-doc-id", "m-str", "m-float", "m-bool", "N-str", "N-null",
-            "empty-prob-desc", "N-zero", "df-negative", "df-above-N", "N-too-large",
+            "N-mismatch", "empty-prob-desc", "N-zero", "df-negative", "df-above-N", "N-too-large",
         ],
     )
     def test_malformed_record_is_a_format_error(self, workspace, capsys, edit, message):
@@ -259,6 +260,29 @@ class TestMalformedCaseBase:
         eval_args = ["eval", "--cb", str(path), "--queries", str(workspace / "queries.txt"), "--out", str(workspace / "r")]
         assert main(eval_args) == 1
         assert "duplicate doc_id 'a.html' at lines 2 and 5" in capsys.readouterr().err
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("name", ["queries.txt", "qrels.tsv", "lexicon.tsv", "stops.txt", "cb.jsonl"])
+    def test_undecodable_file_is_input_error(self, workspace, capsys, name):
+        assert main(build_args(workspace)) == 0
+        stops = workspace / "stops.txt"
+        stops.write_text("the\n", encoding="utf-8")
+        (workspace / name).write_bytes(b"beach \xff\xfe temple\n")
+        if name == "lexicon.tsv":
+            args = build_args(workspace)
+        else:
+            args = [
+                "eval",
+                "--cb", str(workspace / "cb.jsonl"),
+                "--queries", str(workspace / "queries.txt"),
+                "--qrels", str(workspace / "qrels.tsv"),
+                "--stopwords", str(stops),
+                "--out", str(workspace / "report"),
+            ]
+        capsys.readouterr()
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestExitCodes:
