@@ -8,9 +8,13 @@ doc_id, which makes rebuilds bit-identical. Pass 1 keeps each page's block
 term counts and affordance vector, not its tokens; pass 2 takes each
 distinct term's selection idf once per page.
 
-Persistence is line-delimited JSON with sorted keys and floats quantized to
-12 significant digits *at construction time*, so the in-memory case base and
-its file round-trip losslessly and rebuilds compare byte-for-byte.
+Persistence is line-delimited JSON with sorted keys. affret quantizes every
+float it computes to 12 significant digits *at construction time* (term
+weights when a case is built, revised vectors when feedback moves them;
+affordance vectors hold integer counts), and save and load carry the held
+values exactly, so the in-memory case base and its file round-trip
+losslessly and rebuilds compare byte-for-byte. A case base that affret did
+not write keeps whatever digits its values carry.
 """
 
 from __future__ import annotations
@@ -232,8 +236,17 @@ def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True) + "\n"
 
 
+# case records are flat lists and tuples built by save_case_base, never cyclic
+_CASE_ENCODER = json.JSONEncoder(check_circular=False)
+
+
 def save_case_base(cb: CaseBase, path: str | Path) -> None:
-    """Write line-delimited JSON: header, one line per case, corpus stats, lexicon."""
+    """Write line-delimited JSON: header, one line per case, corpus stats, lexicon.
+
+    Values are written as held, not rounded again: affret rounds every value
+    it computes, so a case base it built or revised saves byte-identically,
+    and one it did not write keeps the digits it was loaded with.
+    """
     lines = [
         _dump(
             {
@@ -244,17 +257,16 @@ def save_case_base(cb: CaseBase, path: str | Path) -> None:
             }
         )
     ]
+    encode = _CASE_ENCODER.encode
     for case in cb.cases:
-        lines.append(
-            _dump(
-                {
-                    "doc_id": case.doc_id,
-                    "prob_desc": [[t, round12(w)] for t, w in sorted(case.prob_desc.items())],
-                    "av": [round12(v) for v in case.av],
-                    "av_revised": [round12(v) for v in case.av_revised],
-                }
-            )
-        )
+        # keys inserted in sorted order write what _dump's sort_keys would
+        record = {
+            "av": case.av,
+            "av_revised": case.av_revised,
+            "doc_id": case.doc_id,
+            "prob_desc": sorted(case.prob_desc.items()),
+        }
+        lines.append(encode(record) + "\n")
     lines.append(_dump({"corpus_stats": {"df": cb.corpus_stats.df, "N": cb.corpus_stats.n_cases}}))
     lines.append(
         _dump(
@@ -277,6 +289,8 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
         raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise CaseBaseFormatError(f"cannot read case base: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CaseBaseFormatError(f"{path}: not UTF-8 ({exc})") from exc
     if not raw_lines:
         raise CaseBaseFormatError(f"{path}: empty case base file")
 

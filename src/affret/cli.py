@@ -123,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "query":
             return _cmd_query(args)
         return _cmd_eval(args)
-    except (AffretError, OSError, UnicodeDecodeError) as exc:
+    except (AffretError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

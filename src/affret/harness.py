@@ -81,7 +81,10 @@ def load_queries(path: str | Path, stop_words: frozenset[str] | None = None) -> 
     title is empty after stop-wording cannot be served and is rejected. A
     <narr> field is skipped: it only ends the field before it.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise QueryFormatError(f"{path}: not UTF-8 ({exc})") from exc
     blocks = _TOP_BLOCK.findall(text)
     if not blocks:
         raise QueryFormatError(f"{path}: no <top> blocks found")
@@ -111,15 +114,18 @@ def load_queries(path: str | Path, stop_words: frozenset[str] | None = None) -> 
 def load_qrels(path: str | Path) -> dict[tuple[str, str], int]:
     """Relevance judgments: one `query_id<TAB>doc_id<TAB>0|1` per line."""
     qrels: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fin:
-        for lineno, line in enumerate(fin, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise QueryFormatError(f"{path}: line {lineno}: expected 'query_id<TAB>doc_id<TAB>0|1'")
-            qrels[(parts[0], parts[1])] = int(parts[2])
+    try:
+        with open(path, encoding="utf-8") as fin:
+            for lineno, line in enumerate(fin, start=1):
+                line = line.rstrip("\n")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3 or parts[2] not in ("0", "1"):
+                    raise QueryFormatError(f"{path}: line {lineno}: expected 'query_id<TAB>doc_id<TAB>0|1'")
+                qrels[(parts[0], parts[1])] = int(parts[2])
+    except UnicodeDecodeError as exc:
+        raise QueryFormatError(f"{path}: not UTF-8 ({exc})") from exc
     return qrels
 
 

@@ -162,21 +162,24 @@ def _canonical_terms(raw_terms: str, topic_name: str) -> frozenset[str]:
 def load_lexicon(path: str | Path) -> Lexicon:
     """Parse a lexicon file; terms are case-folded and deduplicated per topic."""
     topics: list[Topic] = []
-    with open(path, encoding="utf-8") as fin:
-        for lineno, line in enumerate(fin, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            if "\t" not in line:
-                raise LexiconFormatError(f"line {lineno}: expected 'name<TAB>terms'")
-            name, _, raw_terms = line.partition("\t")
-            name = name.strip()
-            if not name:
-                raise LexiconFormatError(f"line {lineno}: empty topic name")
-            if raw_terms.strip() == "*":
-                topics.append(Topic(name=name, terms=frozenset(), miscellaneous=True))
-            else:
-                topics.append(Topic(name=name, terms=_canonical_terms(raw_terms, name)))
+    try:
+        with open(path, encoding="utf-8") as fin:
+            for lineno, line in enumerate(fin, start=1):
+                line = line.rstrip("\n")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                if "\t" not in line:
+                    raise LexiconFormatError(f"line {lineno}: expected 'name<TAB>terms'")
+                name, _, raw_terms = line.partition("\t")
+                name = name.strip()
+                if not name:
+                    raise LexiconFormatError(f"line {lineno}: empty topic name")
+                if raw_terms.strip() == "*":
+                    topics.append(Topic(name=name, terms=frozenset(), miscellaneous=True))
+                else:
+                    topics.append(Topic(name=name, terms=_canonical_terms(raw_terms, name)))
+    except UnicodeDecodeError as exc:
+        raise LexiconFormatError(f"{path}: not UTF-8 ({exc})") from exc
     return Lexicon(topics=topics)
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .errors import InputError
+
 # Classic short English list (function words only, no domain terms), without
 # its contractions: tokens never hold an apostrophe, so "don't" could never match.
 DEFAULT_STOPWORDS = frozenset(
@@ -35,9 +37,12 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     punctuation or inner whitespace never removes anything.
     """
     words = set()
-    with open(path, encoding="utf-8") as fin:
-        for line in fin:
-            word = line.strip().casefold()
-            if word:
-                words.add(word)
+    try:
+        with open(path, encoding="utf-8") as fin:
+            for line in fin:
+                word = line.strip().casefold()
+                if word:
+                    words.add(word)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 ({exc})") from exc
     return frozenset(words)

@@ -6,12 +6,14 @@ faster; tests require the two to agree exactly.
 
 from __future__ import annotations
 
+import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from html.parser import HTMLParser
+from pathlib import Path
 
-from affret import Block, Candidate, CaseBaseBuildError, InputError, selection_idf
+from affret import Block, Candidate, CaseBaseBuildError, InputError, round12, selection_idf
 from affret.segmenter import (
     BREAK_MARK,
     BREAK_TAGS,
@@ -276,3 +278,46 @@ def build_index(cb) -> Index:
         n_cases=len(cb.cases),
         case_tfs=case_tfs,
     )
+
+
+def _dump(record: dict) -> str:
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def save_case_base(cb, path) -> None:
+    """Reference ``casebase.save_case_base``: rounds every value again and sorts every record's keys."""
+    lines = [
+        _dump(
+            {
+                "config": asdict(cb.config),
+                "lexicon_fingerprint": cb.lexicon_fingerprint,
+                "m": cb.lexicon.m,
+                "N": cb.corpus_stats.n_cases,
+            }
+        )
+    ]
+    for case in cb.cases:
+        lines.append(
+            _dump(
+                {
+                    "doc_id": case.doc_id,
+                    "prob_desc": [[t, round12(w)] for t, w in sorted(case.prob_desc.items())],
+                    "av": [round12(v) for v in case.av],
+                    "av_revised": [round12(v) for v in case.av_revised],
+                }
+            )
+        )
+    lines.append(_dump({"corpus_stats": {"df": cb.corpus_stats.df, "N": cb.corpus_stats.n_cases}}))
+    lines.append(
+        _dump(
+            {
+                "lexicon": {
+                    "topics": [
+                        {"name": t.name, "terms": sorted(t.terms), "miscellaneous": t.miscellaneous}
+                        for t in cb.lexicon.topics
+                    ]
+                }
+            }
+        )
+    )
+    Path(path).write_text("".join(lines), encoding="utf-8")

@@ -6,12 +6,16 @@ import json
 import logging
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from affret import (
     BuildConfig,
     Case,
+    CaseBase,
     CaseBaseBuildError,
     CaseBaseFormatError,
     CompatibilityError,
@@ -27,6 +31,7 @@ from affret import (
     dedupe_sentences,
     extract_block_text,
     load_case_base,
+    load_lexicon,
     parse_document,
     populate_case_base,
     revise_case_affordance,
@@ -38,7 +43,10 @@ from affret import (
     tokenize,
 )
 
-from conftest import fuzz_html
+import oracles
+from conftest import fuzz_html, write_corpus
+
+SAMPLE = Path(__file__).resolve().parent.parent / "sample"
 
 
 class TestRound12:
@@ -393,6 +401,86 @@ class TestPersistence:
         loaded = load_case_base(self.edited(small_case_base, tmp_path, edit))
         assert set(loaded.cases[0].prob_desc.values()) == {1.7e308}
         assert loaded.cases[0].av == [1.7e308, 1.7e308, 0.0]
+
+    def test_foreign_digits_are_carried_exactly(self, small_case_base, tmp_path):
+        # values affret never computes: 17 significant digits, not 12
+        foreign = [0.30000000000000004, 1.2345678901234567, 12345.678901234567, 3.0000000000000004]
+        assert all(len(repr(v).replace(".", "").lstrip("0")) == 17 for v in foreign)
+
+        def edit(case):
+            for i, pair in enumerate(case["prob_desc"]):
+                pair[1] = foreign[i % 4]
+            case["av"] = foreign[:3]
+            case["av_revised"] = foreign[1:]
+
+        path = self.edited(small_case_base, tmp_path, edit)
+        loaded = load_case_base(path)
+        first = loaded.cases[0]
+        assert [first.prob_desc[t] for t in sorted(first.prob_desc)] == [foreign[i % 4] for i in range(len(first.prob_desc))]
+        assert (first.av, first.av_revised) == (foreign[:3], foreign[1:])
+        saved, again = tmp_path / "saved.jsonl", tmp_path / "again.jsonl"
+        save_case_base(loaded, saved)
+        assert saved.read_bytes() == path.read_bytes()
+        save_case_base(load_case_base(saved), again)
+        assert again.read_bytes() == saved.read_bytes()
+
+
+# doc ids and terms that JSON must escape: quote, backslash, non-ASCII, controls
+escaped_text = st.text(st.sampled_from('"\\/é日\u2028\x00\tab'), min_size=1) | st.text(min_size=1)
+
+
+@pytest.fixture(scope="module")
+def built_bases(tmp_path_factory):
+    """Case bases as the build writes them: fuzzed pages under names JSON escapes, and the sample."""
+    lexicon = Lexicon(
+        topics=[
+            Topic(name="Beaches", terms=frozenset({"beach", "sand"})),
+            Topic(name="Spirituality", terms=frozenset({"temple", "café"})),
+            Topic(name="Miscellaneous", terms=frozenset(), miscellaneous=True),
+        ]
+    )
+    pages = {f"fuzz{seed:02d}.html": fuzz_html(seed) for seed in range(30)}
+    pages['quo"te.html'] = "<p>beach café crème Zürich temple</p>"
+    pages["back\\slash.html"] = "<div>sand 日本 sand temple</div>"
+    pages["naïve-日本.html"] = "<p>naïve beach</p><p>temple temple</p>"
+    corpus = write_corpus(tmp_path_factory.mktemp("fuzz"), pages)
+    return {
+        "fuzz": populate_case_base(corpus, lexicon, BuildConfig(k_terms=5)),
+        "sample": populate_case_base(SAMPLE / "corpus", load_lexicon(SAMPLE / "lexicon.tsv"), BuildConfig()),
+    }
+
+
+class TestSaveMatchesOracle:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_equal_the_rounding_writer(self, built_bases, tmp_path, data):
+        built = built_bases[data.draw(st.sampled_from(sorted(built_bases)), label="base")]
+        cases = [Case(c.doc_id, dict(c.prob_desc), list(c.av), list(c.av_revised)) for c in built.cases]
+        cb = CaseBase(cases=cases, corpus_stats=built.corpus_stats, lexicon=built.lexicon, config=built.config)
+        m = cb.lexicon.m
+        query_avs = st.lists(st.integers(0, 6).map(float), min_size=m, max_size=m)
+        for _ in range(data.draw(st.integers(0, 25), label="revisions")):
+            case = cases[data.draw(st.integers(0, len(cases) - 1))]
+            revise_case_affordance(case, data.draw(query_avs), eta=0.5)
+        if data.draw(st.booleans(), label="overflow"):
+            case = data.draw(st.sampled_from([c for c in cases if any(c.av_revised)]))
+            query_av = data.draw(query_avs.filter(any))
+            rescaled = False
+            for _ in range(2000):
+                peak = max(case.av_revised)
+                revise_case_affordance(case, query_av, eta=0.5)
+                # steps only add non-negative components, so only the overflow rescale lowers the peak
+                rescaled = rescaled or max(case.av_revised) < peak
+            assert rescaled
+        for _ in range(data.draw(st.integers(0, 3), label="escaped")):
+            case = cases[data.draw(st.integers(0, len(cases) - 1))]
+            case.doc_id = data.draw(escaped_text)
+            weight = data.draw(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
+            case.prob_desc[data.draw(escaped_text)] = round12(weight)
+        new, reference = tmp_path / "new.jsonl", tmp_path / "reference.jsonl"
+        save_case_base(cb, new)
+        oracles.save_case_base(cb, reference)
+        assert new.read_bytes() == reference.read_bytes()
 
 
 class TestReviseCaseAffordance:

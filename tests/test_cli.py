@@ -282,7 +282,8 @@ class TestNonUtf8Input:
             ]
         capsys.readouterr()
         assert main(args) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {workspace / name}: not UTF-8 (")
 
 
 class TestExitCodes:
