@@ -332,7 +332,9 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
                     av=[float(v) for v in record["av"]],
                     av_revised=[float(v) for v in record["av_revised"]],
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+                # one C-level join rejects a term that is not a string
+                "".join(case.prob_desc)
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise CaseBaseFormatError(f"{path}: malformed case at line {lineno} ({exc})") from exc
             if not case.prob_desc:
                 raise CaseBaseFormatError(f"{path}: case {case.doc_id!r} at line {lineno} has an empty prob_desc")

@@ -169,11 +169,11 @@ def load_lexicon(path: str | Path) -> Lexicon:
                 if not line.strip() or line.lstrip().startswith("#"):
                     continue
                 if "\t" not in line:
-                    raise LexiconFormatError(f"line {lineno}: expected 'name<TAB>terms'")
+                    raise LexiconFormatError(f"{path}: line {lineno}: expected 'name<TAB>terms'")
                 name, _, raw_terms = line.partition("\t")
                 name = name.strip()
                 if not name:
-                    raise LexiconFormatError(f"line {lineno}: empty topic name")
+                    raise LexiconFormatError(f"{path}: line {lineno}: empty topic name")
                 if raw_terms.strip() == "*":
                     topics.append(Topic(name=name, terms=frozenset(), miscellaneous=True))
                 else:

@@ -44,7 +44,6 @@ VOID_TAGS = {"br", "hr", "img", "input", "meta", "link", "area", "base", "col", 
 # until whitespace collapsing turns it into a single "\n".
 BREAK_MARK = ""
 
-_WS_RUN = re.compile(r"\s+")
 _BREAK_RUN = re.compile(f" ?(?:{BREAK_MARK} ?)+")
 _TOKEN = re.compile(r"[^\W_]+")
 _SENTENCE_SPLIT = re.compile(r"([.!?]|\n)")
@@ -128,9 +127,9 @@ class _BlockWalker(HTMLParser):
             linked = self.anchor_depth > 0
             acc.segments.append((text, linked))
             if text != BREAK_MARK:
-                # regex \s and str.isspace agree on every code point, so this
-                # counts exactly the characters that are not whitespace
-                acc.counts[linked] += len(_WS_RUN.sub("", text))
+                # str.split splits on exactly the characters regex \s matches
+                # (str.isspace), so this counts the non-whitespace characters
+                acc.counts[linked] += len("".join(text.split()))
 
     def handle_starttag(self, tag, attrs):
         if tag in INVISIBLE_TAGS:
@@ -176,6 +175,11 @@ class _BlockWalker(HTMLParser):
     def handle_data(self, data):
         self._append(data.replace(BREAK_MARK, ""))
 
+    def updatepos(self, i, j):
+        # HTMLParser only reads the returned index; the line and column it
+        # would track are never queried here
+        return j
+
 
 def _render(segments, include_linked: bool) -> str:
     parts = []
@@ -184,7 +188,9 @@ def _render(segments, include_linked: bool) -> str:
             parts.append(BREAK_MARK)
         elif include_linked or not linked:
             parts.append(text)
-    joined = _WS_RUN.sub(" ", "".join(parts))
+    # one blank per whitespace run; the blank this drops at either end
+    # would be stripped below anyway
+    joined = " ".join("".join(parts).split())
     return _BREAK_RUN.sub("\n", joined).strip(" \n")
 
 
@@ -241,19 +247,21 @@ def _longest_square(folded: list[str], min_len: int) -> tuple[int, int] | None:
 
     A square of length L starting at i repeats its first ``min_len``-gram at
     i + L, so only shifts between two equal grams can be square lengths: a
-    list with no repeated gram is settled in O(n). Each candidate length L
-    costs one O(n) pass for the leftmost run of L positions j with
+    list with no repeated gram is settled in O(n) by one set of its grams,
+    before any positions are collected. Each candidate length L costs one
+    O(n) pass for the leftmost run of L positions j with
     ``folded[j] == folded[j + L]``. When the equal-gram pairs outnumber the
     tokens, every length is a candidate instead, which bounds a scan by
     O(n^2) comparisons.
     """
     n = len(folded)
+    gram_list = list(zip(*(folded[k:] for k in range(min_len))))
+    if len(set(gram_list)) == len(gram_list):
+        return None
     grams: dict[tuple[str, ...], list[int]] = {}
-    for i, gram in enumerate(zip(*(folded[k:] for k in range(min_len)))):
+    for i, gram in enumerate(gram_list):
         grams.setdefault(gram, []).append(i)
     groups = [positions for positions in grams.values() if len(positions) > 1]
-    if not groups:
-        return None
     longest = n // 2
     if sum(len(p) * (len(p) - 1) // 2 for p in groups) > n:
         lengths = range(longest, min_len - 1, -1)

@@ -24,6 +24,7 @@ from affret.segmenter import (
 )
 
 _WS_RUN = re.compile(r"\s+")
+_BREAK_RUN = re.compile(f" ?(?:{BREAK_MARK} ?)+")
 
 
 class _Accumulator:
@@ -106,6 +107,18 @@ def _count_visible(segments, linked: bool) -> int:
         for text, is_linked in segments
         if text != BREAK_MARK and is_linked == linked
     )
+
+
+def render(segments, include_linked: bool) -> str:
+    """Reference ``segmenter._render``: a regex turns each whitespace run into one blank."""
+    parts = []
+    for text, linked in segments:
+        if text == BREAK_MARK:
+            parts.append(BREAK_MARK)
+        elif include_linked or not linked:
+            parts.append(text)
+    joined = _WS_RUN.sub(" ", "".join(parts))
+    return _BREAK_RUN.sub("\n", joined).strip(" \n")
 
 
 def segment_blocks(markup: str) -> list[Block]:

@@ -10,6 +10,7 @@ determinism on the bundled sample, and persistence round-trips.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import time
@@ -50,6 +51,7 @@ from affret import (
     segment_blocks,
     selection_idf,
 )
+from affret.cli import main as cli_main
 
 from conftest import fuzz_html, write_corpus
 
@@ -300,6 +302,31 @@ def test_criterion_7_bitwise_determinism_on_bundled_sample(capsys, tmp_path):
                 )
             )
         assert artifacts[0] == artifacts[1]
+
+
+# The CLI's bytes for the bundled sample; a change to them changes the output contract.
+SAMPLE_DIGESTS = {
+    "cb.jsonl": "c076e09e581b94152b7080719dcec0cc5c7569b3592b09399d067eacfa305d1b",
+    "rows.csv": "c684e0c4f459dc1a91e4c165c8460f36feba845393be9ec18ddf26d2042244f6",
+    "summary.csv": "935f5c275d84c5def9c543d385aaf05d82a1dc71a058027e096e5b27d1dcdc82",
+}
+
+
+def test_criterion_7_bundled_sample_bytes_are_pinned(capsys, tmp_path):
+    with criterion(capsys, 7, "affret build + eval on the bundled sample write the pinned bytes"):
+        cb = tmp_path / "cb.jsonl"
+        report = tmp_path / "report"
+        build = ["build", "--corpus", str(SAMPLE / "corpus"), "--lexicon", str(SAMPLE / "lexicon.tsv"), "--out", str(cb)]
+        assert cli_main(build) == 0
+        evaluate = [
+            "eval", "--cb", str(cb), "--queries", str(SAMPLE / "queries.txt"), "--qrels", str(SAMPLE / "qrels.tsv"),
+            "--eta", "0.5", "--alpha", "0.25", "--out", str(report),
+        ]
+        assert cli_main(evaluate) == 0
+        written = {name: report / name for name in ("rows.csv", "summary.csv")}
+        written["cb.jsonl"] = cb
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in written.items()}
+        assert digests == SAMPLE_DIGESTS
 
 
 def test_criterion_8_round_trips(capsys, tmp_path):

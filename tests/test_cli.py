@@ -73,6 +73,20 @@ class TestBuild:
         args[args.index("--lexicon") + 1] = str(workspace / "absent.tsv")
         assert main(args) == 1
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("Beaches beach", "line 1: expected 'name<TAB>terms'"), ("  \tbeach", "line 1: empty topic name")],
+        ids=["no-tab", "no-name"],
+    )
+    def test_lexicon_format_error_names_the_file(self, workspace, capsys, line, message):
+        bad = workspace / "badlex.tsv"
+        bad.write_text(line + "\n", encoding="utf-8")
+        args = build_args(workspace)
+        args[args.index("--lexicon") + 1] = str(bad)
+        capsys.readouterr()
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
     def test_bad_tau_is_input_error(self, workspace):
         assert main(build_args(workspace, tau="1.5")) == 1
 
@@ -195,6 +209,27 @@ def _empty_prob_desc(records):
     records[1]["prob_desc"] = []
 
 
+def _set_case_value(key, value):
+    def edit(records):
+        records[1][key][0] = value
+
+    return edit
+
+
+def _set_weight(value):
+    def edit(records):
+        records[1]["prob_desc"][0][1] = value
+
+    return edit
+
+
+def _set_term(value):
+    def edit(records):
+        records[1]["prob_desc"][0][0] = value
+
+    return edit
+
+
 def _set_stats(N=None, **df):
     def edit(records):
         body = records[-2]["corpus_stats"]
@@ -232,10 +267,15 @@ class TestMalformedCaseBase:
             (_set_stats(beach=-2), "malformed corpus_stats at line 5"),
             (_set_stats(beach=3 * 10**20), "malformed corpus_stats at line 5"),
             (_set_stats(N=10**400), "malformed corpus_stats at line 5"),
+            (_set_case_value("av", 10**400), "malformed case at line 2 (int too large to convert to float)"),
+            (_set_case_value("av_revised", 10**400), "malformed case at line 2 (int too large to convert to float)"),
+            (_set_weight(10**400), "malformed case at line 2 (int too large to convert to float)"),
+            (_set_term(7), "malformed case at line 2 (sequence item 0: expected str instance, int found)"),
         ],
         ids=[
             "no-df", "list-df", "nameless-topic", "list-doc-id", "m-str", "m-float", "m-bool", "N-str", "N-null",
             "N-mismatch", "empty-prob-desc", "N-zero", "df-negative", "df-above-N", "N-too-large",
+            "av-int-too-large", "av-revised-int-too-large", "weight-int-too-large", "int-term",
         ],
     )
     def test_malformed_record_is_a_format_error(self, workspace, capsys, edit, message):

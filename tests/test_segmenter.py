@@ -19,7 +19,7 @@ from affret import (
     segment_blocks,
     tokenize,
 )
-from affret.segmenter import BREAK_MARK, _TOKEN, _collapse_repeated_phrases
+from affret.segmenter import BREAK_MARK, _TOKEN, _collapse_repeated_phrases, _longest_square, _render
 
 import oracles
 from conftest import fuzz_html
@@ -222,6 +222,31 @@ class TestCollapseRepeatedPhrases:
     def test_no_repeated_trigram_is_unchanged(self):
         tokens = [f"w{i}" for i in range(5000)]
         assert _collapse_repeated_phrases(list(tokens)) == tokens
+
+    def test_no_repeated_trigram_has_no_square(self):
+        # "a b" repeats, but no 3-gram does
+        assert _longest_square("x a b a b y a b c".split(), 3) is None
+        assert _longest_square("a b c a b c".split(), 3) == (0, 3)
+
+
+# whitespace that regex \s and str.split agree on, beside text and boundary marks
+_RENDER_TEXT = st.text(
+    alphabet=st.sampled_from(["a", "ß", " ", "\n", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003", "\u3000"]),
+    max_size=6,
+)
+_RENDER_SEGMENT = st.one_of(
+    st.tuples(_RENDER_TEXT, st.booleans()),
+    st.tuples(st.just(BREAK_MARK), st.booleans()),
+)
+
+
+class TestRenderMatchesReference:
+    @given(st.lists(_RENDER_SEGMENT, max_size=12), st.booleans())
+    @settings(max_examples=1000, deadline=None)
+    @example([(" ", False), (BREAK_MARK, False), (BREAK_MARK, False), ("a ", True), (" ", False)], True)
+    @example([("\xa0a", False), (BREAK_MARK, False), ("\u3000", True)], False)
+    def test_matches_reference(self, segments, include_linked):
+        assert _render(segments, include_linked) == oracles.render(segments, include_linked)
 
 
 class TestTokenize:
