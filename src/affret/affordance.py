@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+from typing import NamedTuple
 
 from .errors import DimensionError
 from .lexicon import Lexicon
@@ -67,21 +68,44 @@ def normalize_av(av: AffordanceVector) -> AffordanceVector:
     return [v / norm for v in av]
 
 
+class UnitSupport(NamedTuple):
+    """A unit vector's dimension and its nonzero components as (index, value), in index order."""
+
+    m: int
+    items: list[tuple[int, float]]
+
+
+def unit_support(av: AffordanceVector) -> UnitSupport:
+    """The support of ``normalize_av(av)``: the components a cosine with it reads."""
+    unit = normalize_av(av)
+    return UnitSupport(len(unit), [(j, x) for j, x in enumerate(unit) if x != 0])
+
+
 def cosine_sim(a: AffordanceVector, b: AffordanceVector) -> float:
     """Cosine similarity of two same-dimension vectors; 0 if either is zero.
 
     For the non-negative vectors produced by counting, the result lies in
     [0, 1]; tiny float excess is clamped.
     """
-    return cosine_to_unit(normalize_av(a), b)
+    return cosine_to_unit(unit_support(a), b)
 
 
-def cosine_to_unit(unit: AffordanceVector, b: AffordanceVector) -> float:
-    """``cosine_sim(a, b)`` given ``unit = normalize_av(a)``, bit for bit.
+def cosine_to_unit(unit: UnitSupport, b: AffordanceVector) -> float:
+    """``cosine_sim(a, b)`` given ``unit = unit_support(a)``, bit for bit.
 
-    Lets a caller comparing one vector with many normalize it once.
+    Lets a caller comparing one vector with many normalize it once. The dot
+    product runs over the support only: a query names few topics, and each
+    component it leaves out adds ``0.0 * y`` for a finite ``y``, which
+    changes no sum of finite terms (plain or compensated). Each kept term is
+    the product ``normalize_av`` would give, added in the same order.
+    ``b`` must be finite, as every loaded or revised vector is.
     """
-    if len(unit) != len(b):
-        raise DimensionError(f"dimension mismatch: {len(unit)} vs {len(b)}")
-    dot = sum(x * y for x, y in zip(unit, normalize_av(b)))
+    m, support = unit
+    if m != len(b):
+        raise DimensionError(f"dimension mismatch: {m} vs {len(b)}")
+    norm = math.hypot(*b)
+    if norm < sys.float_info.min:
+        # zero or subnormal: normalize_av's rescale keeps the direction exact
+        b, norm = normalize_av(b), 1.0
+    dot = sum([x * (b[j] / norm) for j, x in support], 0.0)
     return min(max(dot, 0.0), 1.0)

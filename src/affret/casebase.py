@@ -9,12 +9,13 @@ term counts and affordance vector, not its tokens; pass 2 takes each
 distinct term's selection idf once per page.
 
 Persistence is line-delimited JSON with sorted keys. affret quantizes every
-float it computes to 12 significant digits *at construction time* (term
-weights when a case is built, revised vectors when feedback moves them;
-affordance vectors hold integer counts), and save and load carry the held
-values exactly, so the in-memory case base and its file round-trip
+float it computes to 12 significant digits *at construction time*: term
+weights when a case is built, and the revised-vector components that
+feedback moves, when it moves them; affordance vectors hold integer counts.
+Save and load, and feedback for the components it does not move, carry the
+held values exactly, so the in-memory case base and its file round-trip
 losslessly and rebuilds compare byte-for-byte. A case base that affret did
-not write keeps whatever digits its values carry.
+not write keeps whatever digits its values carry until feedback moves them.
 """
 
 from __future__ import annotations
@@ -419,8 +420,11 @@ def revise_case_affordance(case: Case, query_av: AffordanceVector, eta: float) -
     proportional to the vector's own length, so feedback strength scales with
     the case rather than with raw query counts. The stored raw counts in
     ``av`` are never touched; ``eta = 0`` disables feedback entirely.
-    Repeated aligned feedback grows the vector geometrically; a step that
-    would overflow is taken from the vector scaled to a peak of 1 instead.
+    Only the components the query names move, and only they are rounded to
+    12 digits; the others are carried as held (``v + 0.0`` is ``v``, and
+    every value affret writes is already 12-digit). Repeated aligned
+    feedback grows the vector geometrically; a step that would overflow is
+    taken from the vector scaled to a peak of 1 instead, over every component.
     """
     if not 0.0 <= eta <= 1.0:
         raise InputError("eta must lie in [0, 1]")
@@ -429,11 +433,18 @@ def revise_case_affordance(case: Case, query_av: AffordanceVector, eta: float) -
     if eta == 0.0:
         return case
     direction = normalize_av(query_av)
-    revised = _step(case.av_revised, direction, eta)
-    if not all(map(math.isfinite, revised)):
+    av = case.av_revised
+    scale = eta * math.hypot(*av)
+    revised = list(av)
+    for j, d in enumerate(direction):
+        if d:
+            revised[j] = round12(av[j] + scale * d)
+    # a finite scale means every carried component is finite, so this checks
+    # the moved ones; an infinite scale would make even a zero query's step nan
+    if not (math.isfinite(scale) and all(map(math.isfinite, revised))):
         # cosine reads only the direction, and the step is scale-invariant
-        peak = max(map(abs, case.av_revised))
-        revised = _step([v / peak for v in case.av_revised], direction, eta)
+        peak = max(map(abs, av))
+        revised = _step([v / peak for v in av], direction, eta)
     case.av_revised = revised
     return case
 

@@ -146,7 +146,7 @@ class Lexicon:
         return self._table.counts(tokens)
 
 
-def _canonical_terms(raw_terms: str, topic_name: str) -> frozenset[str]:
+def _canonical_terms(raw_terms: str, where: str) -> frozenset[str]:
     terms = set()
     for piece in raw_terms.split(","):
         piece = piece.strip()
@@ -154,7 +154,7 @@ def _canonical_terms(raw_terms: str, topic_name: str) -> frozenset[str]:
             continue
         toks = _term_tokens(piece)
         if not toks:
-            raise LexiconFormatError(f"topic {topic_name!r}: term {piece!r} has no word characters")
+            raise LexiconFormatError(f"{where}: term {piece!r} has no word characters")
         terms.add(" ".join(toks))
     return frozenset(terms)
 
@@ -177,10 +177,14 @@ def load_lexicon(path: str | Path) -> Lexicon:
                 if raw_terms.strip() == "*":
                     topics.append(Topic(name=name, terms=frozenset(), miscellaneous=True))
                 else:
-                    topics.append(Topic(name=name, terms=_canonical_terms(raw_terms, name)))
+                    terms = _canonical_terms(raw_terms, f"{path}: line {lineno}: topic {name!r}")
+                    topics.append(Topic(name=name, terms=terms))
     except UnicodeDecodeError as exc:
         raise LexiconFormatError(f"{path}: not UTF-8 ({exc})") from exc
-    return Lexicon(topics=topics)
+    try:
+        return Lexicon(topics=topics)
+    except LexiconFormatError as exc:
+        raise LexiconFormatError(f"{path}: {exc}") from None
 
 
 def serialize_lexicon(lexicon: Lexicon) -> str:

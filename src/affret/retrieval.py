@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .affordance import AffordanceVector, cosine_to_unit, normalize_av
+from .affordance import AffordanceVector, cosine_to_unit, unit_support
 from .casebase import Case, CaseBase, CorpusStats, selection_idf
 from .errors import CaseBaseBuildError, CaseBaseFormatError, InputError
 
@@ -246,7 +246,8 @@ def rerank(
     scores = [c.baseline_score for c in candidates]
     lo, hi = min(scores), max(scores)
     span = hi - lo
-    query_unit = normalize_av(query_av)
+    # normalized, and its support taken, once for the whole pool
+    query_unit = unit_support(query_av)
     entries = []
     for i, cand in enumerate(candidates):
         av = cand.case.av_revised if use_revised else cand.case.av

@@ -13,7 +13,16 @@ from dataclasses import asdict, dataclass
 from html.parser import HTMLParser
 from pathlib import Path
 
-from affret import Block, Candidate, CaseBaseBuildError, InputError, round12, selection_idf
+from affret import (
+    Block,
+    Candidate,
+    CaseBaseBuildError,
+    DimensionError,
+    InputError,
+    normalize_av,
+    round12,
+    selection_idf,
+)
 from affret.segmenter import (
     BREAK_MARK,
     BREAK_TAGS,
@@ -334,3 +343,38 @@ def save_case_base(cb, path) -> None:
         )
     )
     Path(path).write_text("".join(lines), encoding="utf-8")
+
+
+def cosine_to_unit(unit: list[float], b: list[float]) -> float:
+    """Reference ``affordance.cosine_to_unit``: dense, over every component of ``normalize_av(b)``."""
+    if len(unit) != len(b):
+        raise DimensionError(f"dimension mismatch: {len(unit)} vs {len(b)}")
+    dot = sum(x * y for x, y in zip(unit, normalize_av(b)))
+    return min(max(dot, 0.0), 1.0)
+
+
+def cosine_sim(a: list[float], b: list[float]) -> float:
+    """Reference ``affordance.cosine_sim`` through the dense ``cosine_to_unit``."""
+    return cosine_to_unit(normalize_av(a), b)
+
+
+def revise_case_affordance(case, query_av: list[float], eta: float):
+    """Reference ``casebase.revise_case_affordance``: steps and rounds every component."""
+    if not 0.0 <= eta <= 1.0:
+        raise InputError("eta must lie in [0, 1]")
+    if len(query_av) != len(case.av_revised):
+        raise DimensionError(f"dimension mismatch: {len(query_av)} vs {len(case.av_revised)}")
+    if eta == 0.0:
+        return case
+    direction = normalize_av(query_av)
+    revised = _step(case.av_revised, direction, eta)
+    if not all(map(math.isfinite, revised)):
+        peak = max(map(abs, case.av_revised))
+        revised = _step([v / peak for v in case.av_revised], direction, eta)
+    case.av_revised = revised
+    return case
+
+
+def _step(av: list[float], direction: list[float], eta: float) -> list[float]:
+    scale = eta * math.hypot(*av)
+    return [round12(v + scale * d) for v, d in zip(av, direction)]

@@ -19,6 +19,9 @@ from affret import (
     cosine_sim,
     normalize_av,
 )
+from affret.affordance import cosine_to_unit, unit_support
+
+import oracles
 
 nonneg_vectors = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -153,3 +156,63 @@ class TestProperties:
         base = compute_block_affordance(["beach"], lexicon3)
         more = compute_block_affordance(["beach", "sand"], lexicon3)
         assert more[0] == base[0] + 1
+
+
+def bits(x):
+    """A float compared bit for bit: its type and its exact repr (which tells -0.0 from 0.0)."""
+    return type(x), repr(x)
+
+
+# finite components, with the edges pinned: zeros of both signs, subnormals
+# (whose norm takes normalize_av's rescale), the smallest normal float, and
+# 1.7e308 (two of which overflow the norm to inf)
+edge_components = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 3.0, 1.7e308])
+components = edge_components | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sparse_pairs(draw):
+    """A query with 0..m nonzero components in a drawn dimension m, and a vector to compare it with."""
+    m = draw(st.integers(1, 19), label="m")
+    nonzero = draw(st.sets(st.integers(0, m - 1)), label="query support")
+    query = [draw(components.filter(bool)) if j in nonzero else draw(st.sampled_from([0.0, -0.0])) for j in range(m)]
+    return query, draw(st.lists(components, min_size=m, max_size=m), label="vector")
+
+
+class TestCosineMatchesOracle:
+    """The support-only cosine against the dense one it replaced, bit for bit and by type."""
+
+    @given(sparse_pairs())
+    @example(([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]))
+    @example(([1.0, 0.0, 2.0], [0.0, 0.0, 0.0]))
+    @example(([1.0, 0.0, 2.0], [5e-324, 5e-324, 5e-324]))
+    @example(([5e-324, 0.0, 5e-324], [5e-324, 1.0, 1e-323]))
+    @example(([0.0, 1.7e308, 1.7e308], [1.7e308, 1.7e308, 1.7e308]))
+    @example(([-0.0, 1.0, -0.0], [3.0, -0.0, 4.0]))
+    @settings(max_examples=400, deadline=None)
+    def test_cosine_sim(self, pair):
+        a, b = pair
+        assert bits(cosine_sim(a, b)) == bits(oracles.cosine_sim(a, b))
+        assert bits(cosine_to_unit(unit_support(a), b)) == bits(oracles.cosine_to_unit(normalize_av(a), b))
+
+    @given(sparse_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_one_support_serves_many_vectors(self, pair):
+        a, b = pair
+        unit, support = normalize_av(a), unit_support(a)
+        for other in (b, b[::-1], [0.0] * len(b), [5e-324] * len(b)):
+            assert bits(cosine_to_unit(support, other)) == bits(oracles.cosine_to_unit(unit, other))
+
+    def test_empty_support_gives_a_float_zero(self):
+        assert unit_support([0.0, -0.0]).items == []
+        assert bits(cosine_sim([0.0, -0.0], [1.0, 1.0])) == bits(0.0)
+
+    @given(st.integers(1, 6), st.integers(1, 6))
+    def test_dimension_mismatch_rejected(self, m, n):
+        assume(m != n)
+        a, b = [1.0] + [0.0] * (m - 1), [1.0] * n
+        for cosine in (cosine_sim, oracles.cosine_sim):
+            with pytest.raises(DimensionError):
+                cosine(a, b)
+        with pytest.raises(DimensionError):
+            cosine_to_unit(unit_support(a), b)

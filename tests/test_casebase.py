@@ -48,6 +48,15 @@ from conftest import fuzz_html, write_corpus
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample"
 
+# values affret never computes: 17 significant digits, not 12
+FOREIGN_DIGITS = [0.30000000000000004, 1.2345678901234567, 12345.678901234567, 3.0000000000000004]
+assert all(len(repr(v).replace(".", "").lstrip("0")) == 17 for v in FOREIGN_DIGITS)
+
+
+def bits(values):
+    """Values compared bit for bit: each one's type and exact repr (which tells -0.0 from 0.0)."""
+    return [(type(v), repr(v)) for v in values]
+
 
 class TestRound12:
     def test_quantizes_to_twelve_significant_digits(self):
@@ -403,9 +412,7 @@ class TestPersistence:
         assert loaded.cases[0].av == [1.7e308, 1.7e308, 0.0]
 
     def test_foreign_digits_are_carried_exactly(self, small_case_base, tmp_path):
-        # values affret never computes: 17 significant digits, not 12
-        foreign = [0.30000000000000004, 1.2345678901234567, 12345.678901234567, 3.0000000000000004]
-        assert all(len(repr(v).replace(".", "").lstrip("0")) == 17 for v in foreign)
+        foreign = FOREIGN_DIGITS
 
         def edit(case):
             for i, pair in enumerate(case["prob_desc"]):
@@ -450,12 +457,16 @@ def built_bases(tmp_path_factory):
     }
 
 
+def copied_cases(cb: CaseBase) -> list[Case]:
+    return [Case(c.doc_id, dict(c.prob_desc), list(c.av), list(c.av_revised)) for c in cb.cases]
+
+
 class TestSaveMatchesOracle:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_bytes_equal_the_rounding_writer(self, built_bases, tmp_path, data):
         built = built_bases[data.draw(st.sampled_from(sorted(built_bases)), label="base")]
-        cases = [Case(c.doc_id, dict(c.prob_desc), list(c.av), list(c.av_revised)) for c in built.cases]
+        cases = copied_cases(built)
         cb = CaseBase(cases=cases, corpus_stats=built.corpus_stats, lexicon=built.lexicon, config=built.config)
         m = cb.lexicon.m
         query_avs = st.lists(st.integers(0, 6).map(float), min_size=m, max_size=m)
@@ -555,3 +566,57 @@ class TestReviseCaseAffordance:
         assert loaded.cases[0].av_revised == case.av_revised
         save_case_base(loaded, second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_unmoved_foreign_digits_are_carried(self, small_case_base, tmp_path):
+        case = small_case_base.cases[0]
+        case.av_revised = FOREIGN_DIGITS[:3]
+        scale = 0.5 * math.hypot(*FOREIGN_DIGITS[:3])
+        revise_case_affordance(case, [0.0, 2.0, 0.0], eta=0.5)
+        # the step moves component 1 only: it is rounded, the others keep all 17 digits
+        assert case.av_revised == [FOREIGN_DIGITS[0], round12(FOREIGN_DIGITS[1] + scale), FOREIGN_DIGITS[2]]
+        assert round12(case.av_revised[1]) == case.av_revised[1]
+        assert round12(case.av_revised[0]) != case.av_revised[0]
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_case_base(small_case_base, first)
+        loaded = load_case_base(first)
+        assert loaded.cases[0].av_revised == case.av_revised
+        save_case_base(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+
+class TestReviseMatchesOracle:
+    """The support-only feedback step against the dense one it replaced, bit for bit and by type."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_revision_chains(self, built_bases, data):
+        built = built_bases[data.draw(st.sampled_from(sorted(built_bases)), label="base")]
+        eta = data.draw(st.sampled_from([0.5, 1.0]), label="eta")
+        cases, reference = copied_cases(built), copied_cases(built)
+        m = built.lexicon.m
+        if data.draw(st.booleans(), label="huge"):
+            # hypot overflows to inf, so the step must rescale, for a zero query too
+            i = data.draw(st.integers(0, len(cases) - 1))
+            cases[i].av_revised = [1.7e308, 1.7e308] + [0.0] * (m - 2)
+            reference[i].av_revised = list(cases[i].av_revised)
+        counts = st.integers(0, 6).map(float) | st.just(-0.0)
+        query_avs = st.lists(counts, min_size=m, max_size=m) | st.just([0.0] * m)
+        for _ in range(data.draw(st.integers(0, 25), label="revisions")):
+            i = data.draw(st.integers(0, len(cases) - 1))
+            query_av = data.draw(query_avs)
+            revise_case_affordance(cases[i], query_av, eta)
+            oracles.revise_case_affordance(reference[i], query_av, eta)
+            assert bits(cases[i].av_revised) == bits(reference[i].av_revised)
+        assert [bits(c.av_revised) for c in cases] == [bits(c.av_revised) for c in reference]
+
+    @pytest.mark.parametrize("eta", [0.5, 1.0])
+    @pytest.mark.parametrize("query_av", [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 2.0, 0.0]], ids=["zero", "off", "on"])
+    def test_overflowing_scale_rescales(self, eta, query_av):
+        case = Case("d", {"t": 1.0}, [1.0, 1.0, 0.0], [1.7e308, 1.7e308, 0.0])
+        reference = Case("d", {"t": 1.0}, [1.0, 1.0, 0.0], [1.7e308, 1.7e308, 0.0])
+        assert math.hypot(*case.av_revised) == math.inf
+        revise_case_affordance(case, query_av, eta)
+        oracles.revise_case_affordance(reference, query_av, eta)
+        assert bits(case.av_revised) == bits(reference.av_revised)
+        # rescaled to a peak of 1 before the step, so nothing is near 1.7e308
+        assert max(case.av_revised) < 3.0

@@ -75,8 +75,13 @@ class TestBuild:
 
     @pytest.mark.parametrize(
         "line, message",
-        [("Beaches beach", "line 1: expected 'name<TAB>terms'"), ("  \tbeach", "line 1: empty topic name")],
-        ids=["no-tab", "no-name"],
+        [
+            ("Beaches beach", "line 1: expected 'name<TAB>terms'"),
+            ("  \tbeach", "line 1: empty topic name"),
+            ("Beaches\t!!!", "line 1: topic 'Beaches': term '!!!' has no word characters"),
+            ("Beaches\tbeach\nBeaches\tsand", "duplicate topic name: 'Beaches'"),
+        ],
+        ids=["no-tab", "no-name", "no-word-characters", "duplicate-topic"],
     )
     def test_lexicon_format_error_names_the_file(self, workspace, capsys, line, message):
         bad = workspace / "badlex.tsv"
