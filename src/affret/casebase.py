@@ -14,8 +14,10 @@ weights when a case is built, and the revised-vector components that
 feedback moves, when it moves them; affordance vectors hold integer counts.
 Save and load, and feedback for the components it does not move, carry the
 held values exactly, so the in-memory case base and its file round-trip
-losslessly and rebuilds compare byte-for-byte. A case base that affret did
-not write keeps whatever digits its values carry until feedback moves them.
+losslessly and rebuilds compare byte-for-byte. Load reads only the layout
+save writes and keeps each value as decoded, so a case base that affret did
+not write keeps whatever digits its values carry, and an integer stays an
+integer, until feedback moves them; a value of the wrong type is rejected.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -60,12 +63,14 @@ class BuildConfig:
     eta: float = 0.0
 
     def __post_init__(self):
-        if self.k_terms < 1:
-            raise InputError("k_terms must be >= 1")
+        if any(type(v) is bool for v in vars(self).values()):
+            raise InputError("config values must be numbers, not true or false")
+        if type(self.k_terms) is not int or self.k_terms < 1:
+            raise InputError("k_terms must be an integer >= 1")
         if not 0.0 <= self.tau <= 1.0:
             raise InputError("tau must lie in [0, 1]")
-        if self.k_retrieve < 1:
-            raise InputError("k_retrieve must be >= 1")
+        if type(self.k_retrieve) is not int or self.k_retrieve < 1:
+            raise InputError("k_retrieve must be an integer >= 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise InputError("alpha must lie in [0, 1]")
         if not 0.0 <= self.eta <= 1.0:
@@ -233,12 +238,8 @@ def populate_case_base(
     )
 
 
-def _dump(record: dict) -> str:
-    return json.dumps(record, sort_keys=True) + "\n"
-
-
-# case records are flat lists and tuples built by save_case_base, never cyclic
-_CASE_ENCODER = json.JSONEncoder(check_circular=False)
+# every record save_case_base builds is flat lists and dicts, never cyclic
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 def save_case_base(cb: CaseBase, path: str | Path) -> None:
@@ -248,19 +249,15 @@ def save_case_base(cb: CaseBase, path: str | Path) -> None:
     it computes, so a case base it built or revised saves byte-identically,
     and one it did not write keeps the digits it was loaded with.
     """
-    lines = [
-        _dump(
-            {
-                "config": asdict(cb.config),
-                "lexicon_fingerprint": cb.lexicon_fingerprint,
-                "m": cb.lexicon.m,
-                "N": cb.corpus_stats.n_cases,
-            }
-        )
-    ]
-    encode = _CASE_ENCODER.encode
+    encode = _ENCODER.encode
+    header = {
+        "config": asdict(cb.config),
+        "lexicon_fingerprint": cb.lexicon_fingerprint,
+        "m": cb.lexicon.m,
+        "N": cb.corpus_stats.n_cases,
+    }
+    lines = [encode(header) + "\n"]
     for case in cb.cases:
-        # keys inserted in sorted order write what _dump's sort_keys would
         record = {
             "av": case.av,
             "av_revised": case.av_revised,
@@ -268,24 +265,19 @@ def save_case_base(cb: CaseBase, path: str | Path) -> None:
             "prob_desc": sorted(case.prob_desc.items()),
         }
         lines.append(encode(record) + "\n")
-    lines.append(_dump({"corpus_stats": {"df": cb.corpus_stats.df, "N": cb.corpus_stats.n_cases}}))
-    lines.append(
-        _dump(
-            {
-                "lexicon": {
-                    "topics": [
-                        {"name": t.name, "terms": sorted(t.terms), "miscellaneous": t.miscellaneous}
-                        for t in cb.lexicon.topics
-                    ]
-                }
-            }
-        )
-    )
+    lines.append(encode({"corpus_stats": {"df": cb.corpus_stats.df, "N": cb.corpus_stats.n_cases}}) + "\n")
+    topics = [{"name": t.name, "terms": sorted(t.terms), "miscellaneous": t.miscellaneous} for t in cb.lexicon.topics]
+    lines.append(encode({"lexicon": {"topics": topics}}) + "\n")
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase:
-    """Read a saved case base; verify fingerprint when an active lexicon is given."""
+    """Read a saved case base; verify fingerprint when an active lexicon is given.
+
+    Reads only save_case_base's layout: the header, a case per line, then the
+    corpus stats and the lexicon. Values are kept as decoded, so each must
+    already have the type save writes; a bool is not a number.
+    """
     try:
         raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -298,7 +290,7 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
     def parse_line(line: str, lineno: int) -> dict:
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
             raise CaseBaseFormatError(f"{path}: line {lineno} is not valid JSON ({exc})") from exc
         if not isinstance(record, dict):
             raise CaseBaseFormatError(f"{path}: line {lineno} is not an object")
@@ -317,87 +309,94 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
             raise CaseBaseFormatError(f"{path}: header {key} must be an integer, got {header[key]!r}")
     m = header["m"]
 
+    # the last two lines, never the header
+    last = len(raw_lines)
+    stats_record, lexicon_record = (parse_line(raw_lines[i - 1], i) if i > 1 else {} for i in (last - 1, last))
+    if "corpus_stats" not in stats_record or "lexicon" not in lexicon_record:
+        raise CaseBaseFormatError(f"{path}: truncated case base (line {last} is not a lexicon record after corpus_stats)")
+    try:
+        body = stats_record["corpus_stats"]
+        stats = CorpusStats(df=body["df"], n_cases=body["N"])
+        n, dfs = stats.n_cases, stats.df.values()
+        if type(n) is not int or set(map(type, dfs)) - {int}:
+            raise TypeError("N and every df must be integers")
+        # selection_idf divides by N as a float, and is positive only for
+        # N >= 1 and every df in [0, N]
+        if not 1 <= n <= sys.float_info.max or min(dfs, default=0) < 0 or max(dfs, default=0) > n:
+            raise ValueError(f"need 1 <= N <= {sys.float_info.max:.4g} and 0 <= df <= N, N is {n}")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CaseBaseFormatError(f"{path}: malformed corpus_stats at line {last - 1} ({exc})") from exc
+    try:
+        embedded = Lexicon(
+            topics=[
+                Topic(
+                    name=t["name"],
+                    terms=frozenset(t["terms"]),
+                    miscellaneous=bool(t["miscellaneous"]),
+                )
+                for t in lexicon_record["lexicon"]["topics"]
+            ]
+        )
+        embedded_fingerprint = embedded.fingerprint()
+    except (KeyError, TypeError, LexiconFormatError) as exc:
+        raise CaseBaseFormatError(f"{path}: malformed lexicon at line {last} ({exc})") from exc
+
     cases: list[Case] = []
     case_lines: dict[str, int] = {}
-    stats: CorpusStats | None = None
-    embedded: Lexicon | None = None
-    for lineno, line in enumerate(raw_lines[1:], start=2):
+    for lineno, line in enumerate(raw_lines[1:-2], start=2):
         record = parse_line(line, lineno)
-        if "doc_id" in record:
-            if not isinstance(record["doc_id"], str):
-                raise CaseBaseFormatError(f"{path}: doc_id at line {lineno} is not a string")
-            try:
-                case = Case(
-                    doc_id=record["doc_id"],
-                    prob_desc={t: float(w) for t, w in record["prob_desc"]},
-                    av=[float(v) for v in record["av"]],
-                    av_revised=[float(v) for v in record["av_revised"]],
-                )
-                # one C-level join rejects a term that is not a string
-                "".join(case.prob_desc)
-            except (KeyError, OverflowError, TypeError, ValueError) as exc:
-                raise CaseBaseFormatError(f"{path}: malformed case at line {lineno} ({exc})") from exc
-            if not case.prob_desc:
-                raise CaseBaseFormatError(f"{path}: case {case.doc_id!r} at line {lineno} has an empty prob_desc")
-            if len(case.av) != m or len(case.av_revised) != m:
-                raise CaseBaseFormatError(
-                    f"{path}: case {case.doc_id!r} has dimension {len(case.av)}, header says {m}"
-                )
-            # JSON Infinity, NaN and 1e999 load as inf or nan, which make any sum
-            # non-finite; only such a sum (finite values reach one by overflow too)
-            # is checked value by value
-            if not math.isfinite(sum(case.prob_desc.values(), sum(case.av, sum(case.av_revised)))):
-                _reject_non_finite(case, path, lineno)
-            first = case_lines.setdefault(case.doc_id, lineno)
-            if first != lineno:
-                raise CaseBaseFormatError(
-                    f"{path}: duplicate doc_id {case.doc_id!r} at lines {first} and {lineno}"
-                )
-            cases.append(case)
-        elif "corpus_stats" in record:
-            body = record["corpus_stats"]
-            try:
-                stats = CorpusStats(df={t: int(v) for t, v in body["df"].items()}, n_cases=int(body["N"]))
-                # selection_idf needs N as a float, and is positive only for
-                # N >= 1 and every df in [0, N]
-                n, dfs = stats.n_cases, stats.df.values()
-                float(n)
-                if n < 1 or min(dfs, default=0) < 0 or max(dfs, default=0) > n:
-                    raise ValueError(f"need N >= 1 and 0 <= df <= N, N is {n}")
-            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-                raise CaseBaseFormatError(f"{path}: malformed corpus_stats at line {lineno} ({exc})") from exc
-        elif "lexicon" in record:
-            try:
-                embedded = Lexicon(
-                    topics=[
-                        Topic(
-                            name=t["name"],
-                            terms=frozenset(t["terms"]),
-                            miscellaneous=bool(t["miscellaneous"]),
-                        )
-                        for t in record["lexicon"]["topics"]
-                    ]
-                )
-                embedded_fingerprint = embedded.fingerprint()
-            except (KeyError, TypeError, LexiconFormatError) as exc:
-                raise CaseBaseFormatError(f"{path}: malformed lexicon at line {lineno} ({exc})") from exc
-        else:
+        if "doc_id" not in record:
             raise CaseBaseFormatError(f"{path}: unrecognized record at line {lineno}")
+        if not isinstance(record["doc_id"], str):
+            raise CaseBaseFormatError(f"{path}: doc_id at line {lineno} is not a string")
+        try:
+            if type(record["prob_desc"]) is not list:  # dict() would take a JSON object too
+                raise TypeError("prob_desc is not a list")
+            case = Case(
+                doc_id=record["doc_id"],
+                prob_desc=dict(record["prob_desc"]),
+                av=record["av"],
+                av_revised=record["av_revised"],
+            )
+            # one C-level join rejects a term that is not a string, and a sum
+            # from 0.0 a value that is not a number or is too large for a float
+            "".join(case.prob_desc)
+            total = sum(case.prob_desc.values(), sum(case.av, sum(case.av_revised, 0.0)))
+            # the sum takes a bool as a number; only a line that spells one is searched
+            if "true" in line or "false" in line:
+                if any(type(v) is bool for v in (*case.prob_desc.values(), *case.av, *case.av_revised)):
+                    raise TypeError("true and false are not numbers")
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise CaseBaseFormatError(f"{path}: malformed case at line {lineno} ({exc})") from exc
+        if not case.prob_desc:
+            raise CaseBaseFormatError(f"{path}: case {case.doc_id!r} at line {lineno} has an empty prob_desc")
+        if len(case.av) != m or len(case.av_revised) != m:
+            raise CaseBaseFormatError(
+                f"{path}: case {case.doc_id!r} has dimension {len(case.av)}, header says {m}"
+            )
+        # JSON Infinity, NaN and 1e999 load as inf or nan, which make any sum
+        # non-finite; only such a sum (finite values reach one by overflow too)
+        # is checked value by value
+        if not math.isfinite(total):
+            _reject_non_finite(case, path, lineno)
+        first = case_lines.setdefault(case.doc_id, lineno)
+        if first != lineno:
+            raise CaseBaseFormatError(
+                f"{path}: duplicate doc_id {case.doc_id!r} at lines {first} and {lineno}"
+            )
+        cases.append(case)
 
-    if stats is None or embedded is None:
-        raise CaseBaseFormatError(f"{path}: truncated case base (missing trailing records)")
     if embedded.m != m:
         raise CaseBaseFormatError(f"{path}: embedded lexicon dimension {embedded.m} != header m {m}")
     if embedded_fingerprint != header["lexicon_fingerprint"]:
         raise CaseBaseFormatError(f"{path}: embedded lexicon does not match header fingerprint")
     if header["N"] != stats.n_cases:
         raise CaseBaseFormatError(f"{path}: header N {header['N']} != corpus_stats N {stats.n_cases}")
-    if lexicon is not None:
-        if lexicon.fingerprint() != header["lexicon_fingerprint"]:
-            raise CompatibilityError(
-                f"{path}: case base was built against a different lexicon "
-                f"(m={m}, active m={lexicon.m})"
-            )
+    if lexicon is not None and lexicon.fingerprint() != header["lexicon_fingerprint"]:
+        raise CompatibilityError(
+            f"{path}: case base was built against a different lexicon "
+            f"(m={m}, active m={lexicon.m})"
+        )
     return CaseBase(
         cases=cases,
         corpus_stats=stats,

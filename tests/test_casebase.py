@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -85,6 +86,9 @@ class TestBuildConfig:
             {"k_retrieve": 0},
             {"alpha": 2.0},
             {"eta": -1.0},
+            {"k_terms": 2.5},
+            {"k_retrieve": True},
+            {"alpha": True},
         ],
     )
     def test_out_of_range_rejected(self, kwargs):
@@ -430,6 +434,31 @@ class TestPersistence:
         assert saved.read_bytes() == path.read_bytes()
         save_case_base(load_case_base(saved), again)
         assert again.read_bytes() == saved.read_bytes()
+
+    def test_integer_past_the_digit_limit_rejected(self, small_case_base, tmp_path):
+        def edit(case):
+            case["av"][0] = "@value@"
+
+        # json.loads raises a bare ValueError for an integer past Python's 4300-digit conversion limit
+        path = self.edited(small_case_base, tmp_path, edit)
+        path.write_text(path.read_text(encoding="utf-8").replace("1e999", "9" * 5000), encoding="utf-8")
+        with pytest.raises(CaseBaseFormatError, match=f"^{re.escape(str(path))}: .*line 2"):
+            load_case_base(path)
+
+    def test_foreign_integers_are_carried(self, small_case_base, tmp_path):
+        def edit(case):
+            for i, pair in enumerate(case["prob_desc"]):
+                pair[1] = 13 + i
+            case["av"] = [3, 0, 1]
+            case["av_revised"] = [3, 0, 1.5]
+
+        path = self.edited(small_case_base, tmp_path, edit)
+        first = load_case_base(path).cases[0]
+        assert bits(first.prob_desc[t] for t in sorted(first.prob_desc)) == bits(range(13, 13 + len(first.prob_desc)))
+        assert (bits(first.av), bits(first.av_revised)) == (bits([3, 0, 1]), bits([3, 0, 1.5]))
+        saved = tmp_path / "saved.jsonl"
+        save_case_base(load_case_base(path), saved)
+        assert saved.read_bytes() == path.read_bytes()
 
 
 # doc ids and terms that JSON must escape: quote, backslash, non-ASCII, controls

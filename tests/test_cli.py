@@ -6,8 +6,19 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affret import CaseBaseFormatError, load_case_base
+from affret import (
+    CaseBaseFormatError,
+    build_index,
+    compute_query_affordance,
+    load_case_base,
+    rerank,
+    retrieve_top_k,
+    revise_case_affordance,
+    save_case_base,
+)
 from affret.cli import main
 
 from conftest import write_corpus
@@ -27,8 +38,7 @@ QUERIES = """\
 """
 
 
-@pytest.fixture
-def workspace(tmp_path):
+def write_workspace(tmp_path):
     write_corpus(
         tmp_path / "corpus",
         {
@@ -41,6 +51,11 @@ def workspace(tmp_path):
     (tmp_path / "queries.txt").write_text(QUERIES, encoding="utf-8")
     (tmp_path / "qrels.tsv").write_text("Q1\ta.html\t1\nQ2\tb.html\t1\n", encoding="utf-8")
     return tmp_path
+
+
+@pytest.fixture
+def workspace(tmp_path):
+    return write_workspace(tmp_path)
 
 
 def build_args(ws, **extra):
@@ -252,6 +267,38 @@ def _set_header(key, value):
     return edit
 
 
+def _set_config(key, value):
+    def edit(records):
+        records[0]["config"][key] = value
+
+    return edit
+
+
+def _set_case(key, value):
+    def edit(records):
+        records[1][key] = value
+
+    return edit
+
+
+def _all_integer_case(records):
+    records[1]["prob_desc"] = [[term, 2] for term, _ in records[1]["prob_desc"]]
+    records[1]["av"] = [1, 10**400, 0]
+    records[1]["av_revised"] = [1, 1, 0]
+
+
+def _stats_among_cases(records):
+    records.insert(2, records[-2])
+
+
+def _case_after_lexicon(records):
+    records.append(records.pop(1))
+
+
+def _drop_stats(records):
+    del records[-2]
+
+
 class TestMalformedCaseBase:
     # the workspace case base: header, 3 cases, corpus_stats at line 5, lexicon at line 6
     @pytest.mark.parametrize(
@@ -276,11 +323,29 @@ class TestMalformedCaseBase:
             (_set_case_value("av_revised", 10**400), "malformed case at line 2 (int too large to convert to float)"),
             (_set_weight(10**400), "malformed case at line 2 (int too large to convert to float)"),
             (_set_term(7), "malformed case at line 2 (sequence item 0: expected str instance, int found)"),
+            (_all_integer_case, "malformed case at line 2 (int too large to convert to float)"),
+            (_set_case("av", "111"), "malformed case at line 2 (unsupported operand type(s) for +: 'float' and 'str')"),
+            (
+                _set_case("av", {"0": 9.0, "1": 9.0, "2": 9.0}),
+                "malformed case at line 2 (unsupported operand type(s) for +: 'float' and 'str')",
+            ),
+            (_set_case("prob_desc", {"beach": 1.0}), "malformed case at line 2 (prob_desc is not a list)"),
+            (_set_weight("1_0.5"), "malformed case at line 2 (unsupported operand type(s) for +: 'float' and 'str')"),
+            (_set_weight(True), "malformed case at line 2 (true and false are not numbers)"),
+            (_set_stats(beach=2.7), "malformed corpus_stats at line 5 (N and every df must be integers)"),
+            (_set_stats(N="3"), "malformed corpus_stats at line 5 (N and every df must be integers)"),
+            (_stats_among_cases, "unrecognized record at line 3"),
+            (_case_after_lexicon, "truncated case base (line 6 is not a lexicon record after corpus_stats)"),
+            (_drop_stats, "truncated case base (line 5 is not a lexicon record after corpus_stats)"),
+            (_set_config("k_terms", 2.5), "bad config in header (k_terms must be an integer >= 1)"),
         ],
         ids=[
             "no-df", "list-df", "nameless-topic", "list-doc-id", "m-str", "m-float", "m-bool", "N-str", "N-null",
             "N-mismatch", "empty-prob-desc", "N-zero", "df-negative", "df-above-N", "N-too-large",
             "av-int-too-large", "av-revised-int-too-large", "weight-int-too-large", "int-term",
+            "all-int-too-large", "av-digit-string", "av-object", "prob-desc-object", "weight-underscore-string",
+            "weight-true", "df-float", "stats-N-str", "stats-among-cases", "case-after-lexicon", "no-stats",
+            "k-terms-float",
         ],
     )
     def test_malformed_record_is_a_format_error(self, workspace, capsys, edit, message):
@@ -291,6 +356,9 @@ class TestMalformedCaseBase:
             load_case_base(path)
         capsys.readouterr()
         assert main(["query", "--cb", str(path), "--text", "beach"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        queries = str(workspace / "queries.txt")
+        assert main(["eval", "--cb", str(path), "--queries", queries, "--out", str(workspace / "r")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
     def test_duplicate_doc_id_is_a_format_error(self, workspace, capsys):
@@ -305,6 +373,101 @@ class TestMalformedCaseBase:
         eval_args = ["eval", "--cb", str(path), "--queries", str(workspace / "queries.txt"), "--out", str(workspace / "r")]
         assert main(eval_args) == 1
         assert "duplicate doc_id 'a.html' at lines 2 and 5" in capsys.readouterr().err
+
+
+# JSON texts put in place of one value: past the float range, a negative zero,
+# the float extremes, and values that are not numbers (one is a string, so a fair term)
+PALETTE = ["1" + "0" * 400, "-0", "1.5e308", "5e-324", "null", "true", '"0.5"', "[]", "{}"]
+NUMBERS = PALETTE[:4]
+
+
+def value_slots(records):
+    """Each value a palette text may replace: (path of keys and indices, whether it holds a number)."""
+    slots = [((0, "m"), True), ((0, "N"), True)]
+    for i, record in enumerate(records[1:-2], start=1):
+        slots += [((i, key, j), True) for key in ("av", "av_revised") for j in range(len(record[key]))]
+        for j in range(len(record["prob_desc"])):
+            slots += [((i, "prob_desc", j, 0), False), ((i, "prob_desc", j, 1), True)]
+    stats = len(records) - 2
+    slots += [((stats, "corpus_stats", "N"), True)]
+    slots += [((stats, "corpus_stats", "df", term), True) for term in records[stats]["corpus_stats"]["df"]]
+    return slots
+
+
+def layout(kinds):
+    """What save writes: a header, cases with distinct doc_ids, the corpus stats, then the lexicon."""
+    cases = kinds[1:-2]
+    distinct = len(set(cases)) == len(cases) and all(type(kind) is tuple for kind in cases)
+    return distinct and kinds == ["header", *cases, "stats", "lexicon"]
+
+
+@pytest.fixture(scope="module")
+def built_workspace(tmp_path_factory):
+    ws = write_workspace(tmp_path_factory.mktemp("fuzz"))
+    assert main(build_args(ws)) == 0
+    return ws
+
+
+class TestCaseBaseFuzz:
+    """One structural mutation of a saved case base: a rejection at load, or a full cycle that saves stably."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_mutation_is_rejected_or_survives_a_cycle(self, built_workspace, data):
+        path = built_workspace / "cb.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        kinds = ["header", *(("case", r["doc_id"]) for r in records[1:-2]), "stats", "lexicon"]
+        mutation = data.draw(st.sampled_from(["value", "delete-key", "line"]), label="mutation")
+        if mutation == "value":
+            keys, numeric = data.draw(st.sampled_from(value_slots(records)), label="slot")
+            text = data.draw(st.sampled_from(PALETTE), label="text")
+            target = records[keys[0]]
+            for key in keys[1:-1]:
+                target = target[key]
+            target[keys[-1]] = "@fuzz@"
+            lines[keys[0]] = json.dumps(records[keys[0]], sort_keys=True).replace('"@fuzz@"', text)
+            must_reject = text not in (NUMBERS if numeric else ['"0.5"'])
+        elif mutation == "delete-key":
+            i = data.draw(st.integers(0, len(records) - 1), label="line")
+            owners = [records[i]] + [v for v in records[i].values() if isinstance(v, dict)]
+            owner = data.draw(st.sampled_from([d for d in owners if d]), label="record")
+            del owner[data.draw(st.sampled_from(sorted(owner)), label="key")]
+            lines[i] = json.dumps(records[i], sort_keys=True)
+            # a config field left out takes its default; every other key is required
+            must_reject = owner is not records[0]["config"]
+        else:
+            mutation = data.draw(st.sampled_from(["duplicate", "move", "drop"]), label="line mutation")
+            i = data.draw(st.integers(0, len(lines) - 1), label="line")
+            j = data.draw(st.integers(0, len(lines) - (mutation != "duplicate")), label="to")
+            for order in (lines, kinds):
+                item = order[i] if mutation == "duplicate" else order.pop(i)
+                if mutation != "drop":
+                    order.insert(j, item)
+            must_reject = not layout(kinds)
+        mutated, out, again = (built_workspace / name for name in ("mutated.jsonl", "out.jsonl", "again.jsonl"))
+        mutated.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+        try:
+            cb = load_case_base(mutated)
+        except CaseBaseFormatError as exc:
+            assert str(exc).startswith(f"{mutated}: ")
+            return
+        assert not must_reject, f"{mutation} loaded"
+        index = build_index(cb)
+        try:
+            for tokens in (["beach", "holiday"], sorted({term for case in cb.cases for term in case.prob_desc})):
+                pool = retrieve_top_k(tokens, index, cb, cb.config.k_retrieve)
+                query_av = compute_query_affordance(tokens, cb.lexicon)
+                rerank(pool, query_av, cb, alpha=0.5, use_revised=True)
+                for candidate in pool:
+                    revise_case_affordance(candidate.case, query_av, eta=0.5)
+        except CaseBaseFormatError as exc:
+            assert "too large to recover its tf" in str(exc)
+            return
+        save_case_base(cb, out)
+        save_case_base(load_case_base(out), again)
+        assert again.read_bytes() == out.read_bytes()
 
 
 class TestNonUtf8Input:
