@@ -39,14 +39,16 @@ def main() -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    config = BuildConfig(k_retrieve=args.k, alpha=args.alpha, eta=args.eta)
+    # built as `affret build` builds, so cb.jsonl matches its output byte for byte;
+    # the retrieval dials apply to the eval run only, as in `affret eval`
     lexicon = load_lexicon(sample / "lexicon.tsv")
-    cb = populate_case_base(sample / "corpus", lexicon, config)
+    cb = populate_case_base(sample / "corpus", lexicon, BuildConfig())
     save_case_base(cb, out / "cb.jsonl")
     print(f"built {len(cb.cases)} cases over m={lexicon.m} topics")
 
     queries = load_queries(sample / "queries.txt")
     qrels = load_qrels(sample / "qrels.tsv")
+    config = BuildConfig(k_retrieve=args.k, alpha=args.alpha, eta=args.eta)
     report = run_experiment(cb, build_index(cb), queries, config, qrels=qrels)
     rows_path, summary_path = emit_report(report, out)
 

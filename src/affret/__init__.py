@@ -41,7 +41,6 @@ from .errors import (
 )
 from .harness import (
     QuerySummary,
-    ReportRow,
     RunReport,
     compare_rankings,
     emit_report,
@@ -105,7 +104,6 @@ __all__ = [
     "QuerySummary",
     "RankedResult",
     "RawDocument",
-    "ReportRow",
     "ResultEntry",
     "RunReport",
     "Topic",

@@ -4,9 +4,9 @@ One case per admitted document: a problem description (the top-k
 discriminative terms of each block, weighted by block-local tf-idf) plus a
 solution (the document's affordance vector and id). The build is two-pass so
 document frequencies exist before term selection; pass order is sorted by
-doc_id, which makes rebuilds bit-identical. Pass 1 keeps each page's block
-term counts and affordance vector, not its tokens; pass 2 takes each
-distinct term's selection idf once per page.
+doc_id, which makes rebuilds bit-identical. Pass 1 keeps each page's per-term
+max tf, block term counts and affordance vector, not its tokens; pass 2 takes
+each distinct term's selection idf once per page.
 
 Persistence is line-delimited JSON with sorted keys. affret quantizes every
 float it computes to 12 significant digits *at construction time*: term
@@ -39,6 +39,7 @@ from .errors import (
     InputError,
     LexiconFormatError,
     ParseError,
+    read_text,
 )
 from .lexicon import Lexicon, Topic
 from .segmenter import RawDocument, dedupe_sentences, extract_block_text, parse_document, segment_blocks, tokenize
@@ -127,32 +128,36 @@ def select_top_k_terms(tf: Counter, idf: dict[str, float], k: int) -> list[tuple
 
 def _describe(
     doc: RawDocument, lexicon: Lexicon, tau: float, stop_words: frozenset[str] | None
-) -> tuple[list[Counter], AffordanceVector]:
-    """Each kept block's term counts and the page's affordance vector; noise blocks drop out."""
+) -> tuple[dict[str, int], list[Counter], AffordanceVector] | None:
+    """A page's per-term max tf, kept blocks' term counts and affordance vector; noise blocks drop out.
+
+    The one keep/skip rule of the build: a page with no term left is logged as skipped and yields None.
+    """
     block_tfs = []
     block_avs = []
+    # not Counter's |=, which calls __missing__ per new term and sweeps every block
+    max_tf: dict[str, int] = {}
     for block in segment_blocks(doc):
         text = extract_block_text(block, tau)
         if not text:
             continue
         tokens = tokenize(dedupe_sentences(text), stop_words)
-        block_tfs.append(Counter(tokens))
+        tf = Counter(tokens)
+        block_tfs.append(tf)
         block_avs.append(compute_block_affordance(tokens, lexicon))
-    return block_tfs, compute_doc_affordance(block_avs, m=lexicon.m)
-
-
-def _case(
-    doc_id: str, block_tfs: list[Counter], av: AffordanceVector, k: int, corpus_stats: CorpusStats
-) -> Case | None:
-    # not Counter's |=, which calls __missing__ per new term and sweeps every block
-    max_tf: dict[str, int] = {}
-    for tf in block_tfs:
         for term, count in tf.items():
             if count > max_tf.get(term, 0):
                 max_tf[term] = count
     if not max_tf:
+        logger.info("skipping %s: no admissible text blocks", doc.doc_id)
         return None
-    idf = {term: selection_idf(term, corpus_stats) for term in max_tf}
+    return max_tf, block_tfs, compute_doc_affordance(block_avs, m=lexicon.m)
+
+
+def _case(
+    doc_id: str, max_tf: dict[str, int], block_tfs: list[Counter], av: AffordanceVector, k: int, stats: CorpusStats
+) -> Case:
+    idf = {term: selection_idf(term, stats) for term in max_tf}
     selected = {term for tf in block_tfs for term, _ in select_top_k_terms(tf, idf, k)}
     prob_desc = {term: round12(max_tf[term] * idf[term]) for term in sorted(selected)}
     return Case(doc_id=doc_id, prob_desc=prob_desc, av=av, av_revised=list(av))
@@ -166,11 +171,8 @@ def build_case(
     stop_words: frozenset[str] | None = None,
 ) -> Case | None:
     """Build one case, or None when every block filters out as noise."""
-    block_tfs, av = _describe(doc, lexicon, config.tau, stop_words)
-    case = _case(doc.doc_id, block_tfs, av, config.k_terms, corpus_stats)
-    if case is None:
-        logger.info("skipping %s: no admissible text blocks", doc.doc_id)
-    return case
+    description = _describe(doc, lexicon, config.tau, stop_words)
+    return None if description is None else _case(doc.doc_id, *description, config.k_terms, corpus_stats)
 
 
 def _corpus_files(corpus_dir: Path) -> list[tuple[str, Path]]:
@@ -208,26 +210,20 @@ def populate_case_base(
                 logger.warning(message, term, topic.name, ", ".join(hits))
 
     df: Counter = Counter()
-    n_cases = 0
-    described: list[tuple[str, list[Counter], AffordanceVector]] = []
+    described: list[tuple[str, dict[str, int], list[Counter], AffordanceVector]] = []
     for doc_id, path in _corpus_files(corpus_dir):
         try:
             doc = parse_document(path.read_bytes(), doc_id)
         except ParseError as exc:
             logger.warning("skipping %s: %s", doc_id, exc)
             continue
-        block_tfs, av = _describe(doc, lexicon, config.tau, stop_words)
-        doc_terms = set().union(*block_tfs)
-        if not doc_terms:
-            logger.info("skipping %s: no admissible text blocks", doc_id)
-            continue
-        df.update(doc_terms)
-        n_cases += 1
-        described.append((doc_id, block_tfs, av))
+        description = _describe(doc, lexicon, config.tau, stop_words)
+        if description is not None:
+            df.update(description[0].keys())
+            described.append((doc_id, *description))
 
-    stats = CorpusStats(df=dict(df), n_cases=n_cases)
-    # pass 1 kept only documents with tokens, so each one selects a term
-    cases = [_case(doc_id, block_tfs, av, config.k_terms, stats) for doc_id, block_tfs, av in described]
+    stats = CorpusStats(df=dict(df), n_cases=len(described))
+    cases = [_case(*description, config.k_terms, stats) for description in described]
     if not cases:
         raise CaseBaseBuildError(f"no admissible cases in {corpus_dir}")
     return CaseBase(
@@ -279,11 +275,12 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
     already have the type save writes; a bool is not a number.
     """
     try:
-        raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
+        raw_lines = read_text(path, CaseBaseFormatError).split("\n")
     except OSError as exc:
         raise CaseBaseFormatError(f"cannot read case base: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CaseBaseFormatError(f"{path}: not UTF-8 ({exc})") from exc
+    # records end at a newline, so the piece after the last one is empty
+    if raw_lines[-1] == "":
+        raw_lines.pop()
     if not raw_lines:
         raise CaseBaseFormatError(f"{path}: empty case base file")
 
@@ -327,16 +324,14 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CaseBaseFormatError(f"{path}: malformed corpus_stats at line {last - 1} ({exc})") from exc
     try:
-        embedded = Lexicon(
-            topics=[
-                Topic(
-                    name=t["name"],
-                    terms=frozenset(t["terms"]),
-                    miscellaneous=bool(t["miscellaneous"]),
-                )
-                for t in lexicon_record["lexicon"]["topics"]
-            ]
-        )
+        topics = []
+        for t in lexicon_record["lexicon"]["topics"]:
+            name, terms, miscellaneous = t["name"], t["terms"], t["miscellaneous"]
+            if type(name) is not str or type(terms) is not list or type(miscellaneous) is not bool:
+                raise TypeError("a topic needs a string name, a list of terms and a true or false miscellaneous")
+            "".join(terms)  # rejects a term that is not a string
+            topics.append(Topic(name=name, terms=frozenset(terms), miscellaneous=miscellaneous))
+        embedded = Lexicon(topics=topics)
         embedded_fingerprint = embedded.fingerprint()
     except (KeyError, TypeError, LexiconFormatError) as exc:
         raise CaseBaseFormatError(f"{path}: malformed lexicon at line {last} ({exc})") from exc
@@ -395,7 +390,7 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
     if lexicon is not None and lexicon.fingerprint() != header["lexicon_fingerprint"]:
         raise CompatibilityError(
             f"{path}: case base was built against a different lexicon "
-            f"(m={m}, active m={lexicon.m})"
+            f"(m={m}, active m={lexicon.m}){_first_difference(embedded, lexicon)}"
         )
     return CaseBase(
         cases=cases,
@@ -403,6 +398,19 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
         lexicon=embedded,
         config=config,
     )
+
+
+def _first_difference(built: Lexicon, active: Lexicon) -> str:
+    """The first topic, by position, that two lexicons hold differently, and its one-sided terms."""
+    for i, (ours, theirs) in enumerate(zip(built.topics, active.topics), start=1):
+        if ours != theirs:
+            ours_name, theirs_name = (repr(t.name) + " (catch-all)" * t.miscellaneous for t in (ours, theirs))
+            return (
+                f": topic {i} is {ours_name} in the case base and {theirs_name} in the active lexicon;"
+                f" terms only in the case base {sorted(ours.terms - theirs.terms)},"
+                f" only in the active lexicon {sorted(theirs.terms - ours.terms)}"
+            )
+    return ""
 
 
 def _reject_non_finite(case: Case, path: str | Path, lineno: int) -> None:

@@ -1,4 +1,8 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, and the one reader of text input files."""
+
+from __future__ import annotations
+
+from pathlib import Path
 
 
 class AffretError(Exception):
@@ -35,3 +39,11 @@ class DimensionError(AffretError):
 
 class InputError(AffretError):
     """Caller-supplied data violates an operation's preconditions."""
+
+
+def read_text(path: str | Path, error_type: type[AffretError]) -> str:
+    """A text file's contents, newlines read as ``\\n``; one that is not UTF-8 raises ``error_type`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error_type(f"{path}: not UTF-8 ({exc})") from exc

@@ -18,8 +18,8 @@ from pathlib import Path
 
 from .affordance import compute_query_affordance
 from .casebase import CaseBase, BuildConfig, revise_case_affordance
-from .errors import InputError, QueryFormatError
-from .retrieval import InvertedIndex, Query, rerank, retrieve_top_k
+from .errors import InputError, QueryFormatError, read_text
+from .retrieval import InvertedIndex, Query, ResultEntry, rerank, retrieve_top_k
 from .segmenter import tokenize
 
 _TOP_BLOCK = re.compile(r"<top>(.*?)</top>", re.DOTALL | re.IGNORECASE)
@@ -42,17 +42,6 @@ PRECISION_COLUMNS = ("precision_at_k_baseline", "precision_at_k_final")
 
 
 @dataclass
-class ReportRow:
-    query_id: str
-    doc_id: str
-    baseline_rank: int
-    final_rank: int
-    baseline_score: float
-    affordance_cosine: float
-    final_score: float
-
-
-@dataclass
 class QuerySummary:
     query_id: str
     kendall_tau: float | None
@@ -63,7 +52,7 @@ class QuerySummary:
 
 @dataclass
 class RunReport:
-    rows: list[ReportRow]
+    rows: list[tuple[str, ResultEntry]]
     summaries: list[QuerySummary]
     config_echo: dict
     has_precision: bool = False
@@ -81,11 +70,7 @@ def load_queries(path: str | Path, stop_words: frozenset[str] | None = None) -> 
     title is empty after stop-wording cannot be served and is rejected. A
     <narr> field is skipped: it only ends the field before it.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise QueryFormatError(f"{path}: not UTF-8 ({exc})") from exc
-    blocks = _TOP_BLOCK.findall(text)
+    blocks = _TOP_BLOCK.findall(read_text(path, QueryFormatError))
     if not blocks:
         raise QueryFormatError(f"{path}: no <top> blocks found")
     queries: list[Query] = []
@@ -114,18 +99,13 @@ def load_queries(path: str | Path, stop_words: frozenset[str] | None = None) -> 
 def load_qrels(path: str | Path) -> dict[tuple[str, str], int]:
     """Relevance judgments: one `query_id<TAB>doc_id<TAB>0|1` per line."""
     qrels: dict[tuple[str, str], int] = {}
-    try:
-        with open(path, encoding="utf-8") as fin:
-            for lineno, line in enumerate(fin, start=1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3 or parts[2] not in ("0", "1"):
-                    raise QueryFormatError(f"{path}: line {lineno}: expected 'query_id<TAB>doc_id<TAB>0|1'")
-                qrels[(parts[0], parts[1])] = int(parts[2])
-    except UnicodeDecodeError as exc:
-        raise QueryFormatError(f"{path}: not UTF-8 ({exc})") from exc
+    for lineno, line in enumerate(read_text(path, QueryFormatError).split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3 or parts[2] not in ("0", "1"):
+            raise QueryFormatError(f"{path}: line {lineno}: expected 'query_id<TAB>doc_id<TAB>0|1'")
+        qrels[(parts[0], parts[1])] = int(parts[2])
     return qrels
 
 
@@ -170,9 +150,11 @@ def run_experiment(
 
     With a positive feedback rate (eta) each query's pool is re-ranked against
     the revised vectors accumulated so far and then revises them in turn.
+    ``RunReport.rows`` holds one ``(query_id, ResultEntry)`` pair per ranked
+    document.
     """
     feedback = config.eta > 0
-    rows: list[ReportRow] = []
+    rows: list[tuple[str, ResultEntry]] = []
     summaries: list[QuerySummary] = []
     for query in queries:
         tokens = query.title + query.desc if use_desc else query.title
@@ -182,18 +164,7 @@ def run_experiment(
             continue
         query_av = compute_query_affordance(tokens, cb.lexicon)
         ranked = rerank(pool, query_av, cb, alpha=config.alpha, use_revised=feedback)
-        rows.extend(
-            ReportRow(
-                query_id=query.query_id,
-                doc_id=e.doc_id,
-                baseline_rank=e.baseline_rank,
-                final_rank=e.final_rank,
-                baseline_score=e.baseline_score,
-                affordance_cosine=e.affordance_cosine,
-                final_score=e.final_score,
-            )
-            for e in ranked.entries
-        )
+        rows.extend((query.query_id, entry) for entry in ranked.entries)
         baseline_order = [c.case.doc_id for c in pool]
         final_order = [e.doc_id for e in ranked.entries]
         summary = QuerySummary(
@@ -227,16 +198,16 @@ def emit_report(report: RunReport, out_dir: str | Path) -> tuple[Path, Path]:
     with open(rows_path, "w", encoding="utf-8", newline="") as fout:
         writer = csv.writer(fout, lineterminator="\n")
         writer.writerow(ROWS_HEADER)
-        for row in sorted(report.rows, key=lambda r: (r.query_id, r.final_rank)):
+        for query_id, e in sorted(report.rows, key=lambda row: (row[0], row[1].final_rank)):
             writer.writerow(
                 [
-                    row.query_id,
-                    row.doc_id,
-                    row.baseline_rank,
-                    row.final_rank,
-                    _fmt(row.baseline_score),
-                    _fmt(row.affordance_cosine),
-                    _fmt(row.final_score),
+                    query_id,
+                    e.doc_id,
+                    e.baseline_rank,
+                    e.final_rank,
+                    _fmt(e.baseline_score),
+                    _fmt(e.affordance_cosine),
+                    _fmt(e.final_score),
                 ]
             )
 

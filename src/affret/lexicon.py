@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .errors import LexiconFormatError
+from .errors import LexiconFormatError, read_text
 from .segmenter import tokenize
 
 
@@ -162,25 +162,20 @@ def _canonical_terms(raw_terms: str, where: str) -> frozenset[str]:
 def load_lexicon(path: str | Path) -> Lexicon:
     """Parse a lexicon file; terms are case-folded and deduplicated per topic."""
     topics: list[Topic] = []
-    try:
-        with open(path, encoding="utf-8") as fin:
-            for lineno, line in enumerate(fin, start=1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                if "\t" not in line:
-                    raise LexiconFormatError(f"{path}: line {lineno}: expected 'name<TAB>terms'")
-                name, _, raw_terms = line.partition("\t")
-                name = name.strip()
-                if not name:
-                    raise LexiconFormatError(f"{path}: line {lineno}: empty topic name")
-                if raw_terms.strip() == "*":
-                    topics.append(Topic(name=name, terms=frozenset(), miscellaneous=True))
-                else:
-                    terms = _canonical_terms(raw_terms, f"{path}: line {lineno}: topic {name!r}")
-                    topics.append(Topic(name=name, terms=terms))
-    except UnicodeDecodeError as exc:
-        raise LexiconFormatError(f"{path}: not UTF-8 ({exc})") from exc
+    for lineno, line in enumerate(read_text(path, LexiconFormatError).split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if "\t" not in line:
+            raise LexiconFormatError(f"{path}: line {lineno}: expected 'name<TAB>terms'")
+        name, _, raw_terms = line.partition("\t")
+        name = name.strip()
+        if not name:
+            raise LexiconFormatError(f"{path}: line {lineno}: empty topic name")
+        if raw_terms.strip() == "*":
+            topics.append(Topic(name=name, terms=frozenset(), miscellaneous=True))
+        else:
+            terms = _canonical_terms(raw_terms, f"{path}: line {lineno}: topic {name!r}")
+            topics.append(Topic(name=name, terms=terms))
     try:
         return Lexicon(topics=topics)
     except LexiconFormatError as exc:

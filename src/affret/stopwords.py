@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import InputError
+from .errors import InputError, read_text
 
 # Classic short English list (function words only, no domain terms), without
 # its contractions: tokens never hold an apostrophe, so "don't" could never match.
@@ -36,13 +36,5 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     Entries match whole tokens (runs of letters and digits), so an entry with
     punctuation or inner whitespace never removes anything.
     """
-    words = set()
-    try:
-        with open(path, encoding="utf-8") as fin:
-            for line in fin:
-                word = line.strip().casefold()
-                if word:
-                    words.add(word)
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 ({exc})") from exc
-    return frozenset(words)
+    words = (line.strip().casefold() for line in read_text(path, InputError).split("\n"))
+    return frozenset(word for word in words if word)

@@ -223,9 +223,9 @@ def test_criterion_4_weak_lexical_match_rises_on_topic_alignment(capsys, tmp_pat
         queries = load_queries(write_topic_file(tmp_path, "T1", "beach"))
         report = run_experiment(cb, index, queries, config)
         assert len(report.rows) == 15
-        for row in report.rows:
-            assert row.baseline_rank == baseline_rank[row.doc_id], row.doc_id
-            assert row.final_rank == final_rank[row.doc_id], row.doc_id
+        for _, entry in report.rows:
+            assert entry.baseline_rank == baseline_rank[entry.doc_id], entry.doc_id
+            assert entry.final_rank == final_rank[entry.doc_id], entry.doc_id
         assert time.monotonic() - started < 5.0
 
 

@@ -334,8 +334,34 @@ class TestPersistence:
     def test_active_lexicon_mismatch_rejected(self, small_case_base, tmp_path, lexicon_no_misc):
         path = tmp_path / "cb.jsonl"
         save_case_base(small_case_base, path)
-        with pytest.raises(CompatibilityError):
+        message = (
+            "(m=3, active m=3): topic 1 is 'Beaches' in the case base and 'Beaches' in the active lexicon;"
+            " terms only in the case base ['sand'], only in the active lexicon []"
+        )
+        with pytest.raises(CompatibilityError, match=re.escape(message) + "$"):
             load_case_base(path, lexicon=lexicon_no_misc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda beaches, temple, misc: [Topic("Beaches", beaches.terms | {"shore"}), temple, misc],
+                "(m=3, active m=3): topic 1 is 'Beaches' in the case base and 'Beaches' in the active lexicon;"
+                " terms only in the case base [], only in the active lexicon ['shore']",
+            ),
+            (
+                lambda beaches, temple, misc: [beaches, misc, temple],
+                "(m=3, active m=3): topic 2 is 'Spirituality' in the case base and 'Miscellaneous' (catch-all)"
+                " in the active lexicon; terms only in the case base ['temple'], only in the active lexicon []",
+            ),
+        ],
+        ids=["one-extra-term", "moved-catch-all"],
+    )
+    def test_mismatch_names_the_first_differing_topic(self, small_case_base, tmp_path, lexicon3, edit, message):
+        path = tmp_path / "cb.jsonl"
+        save_case_base(small_case_base, path)
+        with pytest.raises(CompatibilityError, match=re.escape(message) + "$"):
+            load_case_base(path, lexicon=Lexicon(topics=edit(*lexicon3.topics)))
 
     def test_matching_active_lexicon_accepted(self, small_case_base, tmp_path, lexicon3):
         path = tmp_path / "cb.jsonl"
@@ -349,6 +375,23 @@ class TestPersistence:
         (tmp_path / "cut.jsonl").write_text("".join(lines[:-1]), encoding="utf-8")
         with pytest.raises(CaseBaseFormatError, match="truncated"):
             load_case_base(tmp_path / "cut.jsonl")
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\x85"], ids=["u2028", "x85"])
+    def test_records_split_only_at_newlines(self, small_case_base, tmp_path, separator):
+        path = tmp_path / "cb.jsonl"
+        save_case_base(small_case_base, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        case = json.loads(lines[1])
+        case["doc_id"] = f"a{separator}b.html"
+        # valid JSON: ensure_ascii=False writes the line separator raw
+        lines[1] = json.dumps(case, sort_keys=True, ensure_ascii=False)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert load_case_base(path).cases[0].doc_id == f"a{separator}b.html"
+        # an error after that line is reported at its own line
+        lines[3] = lines[3][: len(lines[3]) // 2]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(CaseBaseFormatError, match=f"^{re.escape(str(path))}: line 4 is not valid JSON"):
+            load_case_base(path)
 
     def test_corrupt_json_line_rejected(self, small_case_base, tmp_path):
         path = tmp_path / "cb.jsonl"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -299,6 +300,21 @@ def _drop_stats(records):
     del records[-2]
 
 
+def _set_topic(index, key, value):
+    """Set one field of an embedded lexicon topic, and sign the header with the fingerprint its loose reading gives."""
+
+    def edit(records):
+        topics = records[-1]["lexicon"]["topics"]
+        topics[index][key] = value
+        lines = [f"{t['name']}\t{'*' if t['miscellaneous'] else ','.join(sorted(t['terms']))}\n" for t in topics]
+        records[0]["lexicon_fingerprint"] = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+
+    return edit
+
+
+TOPIC_TYPES = "a topic needs a string name, a list of terms and a true or false miscellaneous"
+
+
 class TestMalformedCaseBase:
     # the workspace case base: header, 3 cases, corpus_stats at line 5, lexicon at line 6
     @pytest.mark.parametrize(
@@ -338,6 +354,9 @@ class TestMalformedCaseBase:
             (_case_after_lexicon, "truncated case base (line 6 is not a lexicon record after corpus_stats)"),
             (_drop_stats, "truncated case base (line 5 is not a lexicon record after corpus_stats)"),
             (_set_config("k_terms", 2.5), "bad config in header (k_terms must be an integer >= 1)"),
+            (_set_topic(0, "name", 7), f"malformed lexicon at line 6 ({TOPIC_TYPES})"),
+            (_set_topic(0, "terms", "beach"), f"malformed lexicon at line 6 ({TOPIC_TYPES})"),
+            (_set_topic(-1, "miscellaneous", 1), f"malformed lexicon at line 6 ({TOPIC_TYPES})"),
         ],
         ids=[
             "no-df", "list-df", "nameless-topic", "list-doc-id", "m-str", "m-float", "m-bool", "N-str", "N-null",
@@ -345,7 +364,7 @@ class TestMalformedCaseBase:
             "av-int-too-large", "av-revised-int-too-large", "weight-int-too-large", "int-term",
             "all-int-too-large", "av-digit-string", "av-object", "prob-desc-object", "weight-underscore-string",
             "weight-true", "df-float", "stats-N-str", "stats-among-cases", "case-after-lexicon", "no-stats",
-            "k-terms-float",
+            "k-terms-float", "topic-name-int", "topic-terms-str", "topic-miscellaneous-int",
         ],
     )
     def test_malformed_record_is_a_format_error(self, workspace, capsys, edit, message):
@@ -379,18 +398,24 @@ class TestMalformedCaseBase:
 # the float extremes, and values that are not numbers (one is a string, so a fair term)
 PALETTE = ["1" + "0" * 400, "-0", "1.5e308", "5e-324", "null", "true", '"0.5"', "[]", "{}"]
 NUMBERS = PALETTE[:4]
+STRINGS = ['"0.5"']
 
 
 def value_slots(records):
-    """Each value a palette text may replace: (path of keys and indices, whether it holds a number)."""
-    slots = [((0, "m"), True), ((0, "N"), True)]
+    """Each value a palette text may replace: (path of keys and indices, the palette texts of its type)."""
+    slots = [((0, "m"), NUMBERS), ((0, "N"), NUMBERS)]
     for i, record in enumerate(records[1:-2], start=1):
-        slots += [((i, key, j), True) for key in ("av", "av_revised") for j in range(len(record[key]))]
+        slots += [((i, key, j), NUMBERS) for key in ("av", "av_revised") for j in range(len(record[key]))]
         for j in range(len(record["prob_desc"])):
-            slots += [((i, "prob_desc", j, 0), False), ((i, "prob_desc", j, 1), True)]
+            slots += [((i, "prob_desc", j, 0), STRINGS), ((i, "prob_desc", j, 1), NUMBERS)]
     stats = len(records) - 2
-    slots += [((stats, "corpus_stats", "N"), True)]
-    slots += [((stats, "corpus_stats", "df", term), True) for term in records[stats]["corpus_stats"]["df"]]
+    slots += [((stats, "corpus_stats", "N"), NUMBERS)]
+    slots += [((stats, "corpus_stats", "df", term), NUMBERS) for term in records[stats]["corpus_stats"]["df"]]
+    lexicon = stats + 1
+    for t, topic in enumerate(records[lexicon]["lexicon"]["topics"]):
+        slots += [((lexicon, "lexicon", "topics", t, "name"), STRINGS)]
+        slots += [((lexicon, "lexicon", "topics", t, "terms", j), STRINGS) for j in range(len(topic["terms"]))]
+        slots += [((lexicon, "lexicon", "topics", t, "miscellaneous"), ["true"])]
     return slots
 
 
@@ -420,14 +445,14 @@ class TestCaseBaseFuzz:
         kinds = ["header", *(("case", r["doc_id"]) for r in records[1:-2]), "stats", "lexicon"]
         mutation = data.draw(st.sampled_from(["value", "delete-key", "line"]), label="mutation")
         if mutation == "value":
-            keys, numeric = data.draw(st.sampled_from(value_slots(records)), label="slot")
+            keys, accepted = data.draw(st.sampled_from(value_slots(records)), label="slot")
             text = data.draw(st.sampled_from(PALETTE), label="text")
             target = records[keys[0]]
             for key in keys[1:-1]:
                 target = target[key]
             target[keys[-1]] = "@fuzz@"
             lines[keys[0]] = json.dumps(records[keys[0]], sort_keys=True).replace('"@fuzz@"', text)
-            must_reject = text not in (NUMBERS if numeric else ['"0.5"'])
+            must_reject = text not in accepted
         elif mutation == "delete-key":
             i = data.draw(st.integers(0, len(records) - 1), label="line")
             owners = [records[i]] + [v for v in records[i].values() if isinstance(v, dict)]
@@ -435,7 +460,7 @@ class TestCaseBaseFuzz:
             del owner[data.draw(st.sampled_from(sorted(owner)), label="key")]
             lines[i] = json.dumps(records[i], sort_keys=True)
             # a config field left out takes its default; every other key is required
-            must_reject = owner is not records[0]["config"]
+            must_reject = owner is not records[0].get("config")
         else:
             mutation = data.draw(st.sampled_from(["duplicate", "move", "drop"]), label="line mutation")
             i = data.draw(st.integers(0, len(lines) - 1), label="line")
@@ -492,6 +517,55 @@ class TestNonUtf8Input:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {workspace / name}: not UTF-8 (")
+
+
+# bytes spliced into a text input: separators of each reader's format, newlines
+# other than \n, a NUL, an invalid UTF-8 byte and the markup of a query file
+SPLICES = [
+    b"", b"\t", b"\n", b"\r", b"\r\n", b"\x00", b"\xff", b"\xc2\x85", b"\xe2\x80\xa8", b"#", b"*", b",", b"0", b"1",
+    b"<top>", b"</top>", b"<num>", b"<title>", b"<desc>", b"<narr>",
+]
+
+
+@pytest.fixture(scope="module")
+def text_workspace(tmp_path_factory):
+    ws = write_workspace(tmp_path_factory.mktemp("text-fuzz"))
+    (ws / "stops.txt").write_text("the\nand\n", encoding="utf-8")
+    assert main(build_args(ws)) == 0
+    return ws
+
+
+class TestTextInputFuzz:
+    """Byte-level mutations of the lexicon, queries, qrels and stop-word files: the CLI exits 0 or 1, never 2."""
+
+    @pytest.mark.parametrize("name", ["lexicon.tsv", "queries.txt", "qrels.tsv", "stops.txt"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_mutated_text_input_is_served_or_rejected(self, text_workspace, name, data):
+        ws = text_workspace
+        raw = (ws / name).read_bytes()
+        for _ in range(data.draw(st.integers(1, 4), label="edits")):
+            start = data.draw(st.integers(0, len(raw)), label="start")
+            end = data.draw(st.integers(start, min(len(raw), start + 8)), label="end")
+            splice = data.draw(st.sampled_from(SPLICES) | st.binary(max_size=4), label="splice")
+            raw = raw[:start] + splice + raw[end:]
+        inputs = {key: ws / key for key in ("lexicon.tsv", "queries.txt", "qrels.tsv", "stops.txt")}
+        inputs[name] = ws / f"mutated-{name}"
+        inputs[name].write_bytes(raw)
+        if name == "lexicon.tsv":
+            args = ["build", "--corpus", str(ws / "corpus"), "--lexicon", str(inputs[name]), "--out", str(ws / "fuzz.jsonl")]
+        else:
+            args = [
+                "eval",
+                "--cb", str(ws / "cb.jsonl"),
+                "--queries", str(inputs["queries.txt"]),
+                "--qrels", str(inputs["qrels.tsv"]),
+                "--stopwords", str(inputs["stops.txt"]),
+                "--out", str(ws / "fuzz-report"),
+            ]
+            if data.draw(st.booleans(), label="use desc"):
+                args.append("--use-desc")
+        assert main(args) in (0, 1)
 
 
 class TestExitCodes:

@@ -180,14 +180,14 @@ class TestRunExperiment:
 
     def test_topically_aligned_doc_rises_to_first(self, tmp_path, shift_setup):
         report = self.run(tmp_path, shift_setup, "beach", alpha=0.0)
-        by_doc = {r.doc_id: r for r in report.rows}
+        by_doc = {e.doc_id: e for _, e in report.rows}
         assert by_doc["target.html"].baseline_rank == 3
         assert by_doc["target.html"].final_rank == 1
 
     def test_alpha_one_keeps_baseline_order(self, tmp_path, shift_setup):
         report = self.run(tmp_path, shift_setup, "beach", alpha=1.0)
         assert report.rows
-        assert all(r.baseline_rank == r.final_rank for r in report.rows)
+        assert all(e.baseline_rank == e.final_rank for _, e in report.rows)
 
     def test_unmatchable_query_yields_summary_only(self, tmp_path, shift_setup):
         report = self.run(tmp_path, shift_setup, "zzzqqq", alpha=0.0)
@@ -199,8 +199,8 @@ class TestRunExperiment:
     def test_ranks_form_permutations_per_query(self, tmp_path, shift_setup):
         report = self.run(tmp_path, shift_setup, "beach temple")
         n = len(report.rows)
-        assert sorted(r.baseline_rank for r in report.rows) == list(range(1, n + 1))
-        assert sorted(r.final_rank for r in report.rows) == list(range(1, n + 1))
+        assert sorted(e.baseline_rank for _, e in report.rows) == list(range(1, n + 1))
+        assert sorted(e.final_rank for _, e in report.rows) == list(range(1, n + 1))
 
     def test_summary_tau_quantifies_reordering(self, tmp_path, shift_setup):
         report = self.run(tmp_path, shift_setup, "beach", alpha=1.0)
@@ -226,7 +226,7 @@ class TestRunExperiment:
         blocks = [topic_block("Q1", "temple visit"), topic_block("Q2", "temple visit")]
         queries = load_queries(write_queries(tmp_path, blocks))
         report = run_experiment(cb, index, queries, BuildConfig(eta=0.5, alpha=0.0))
-        cos = {(r.query_id, r.doc_id): r.affordance_cosine for r in report.rows}
+        cos = {(query_id, e.doc_id): e.affordance_cosine for query_id, e in report.rows}
         moved = [d for d in ("big1.html", "big2.html") if (("Q1", d) in cos and ("Q2", d) in cos)]
         assert moved
         # the first query pulled av_revised toward the temple axis, so the
@@ -249,7 +249,7 @@ class TestRunExperiment:
         queries = load_queries(write_queries(tmp_path, blocks))
         report = run_experiment(cb, index, queries, BuildConfig(eta=eta))
         # each pool member once, in query order and then in baseline order
-        pools = [r.doc_id for r in sorted(report.rows, key=lambda r: (r.query_id, r.baseline_rank))]
+        pools = [e.doc_id for _, e in sorted(report.rows, key=lambda row: (row[0], row[1].baseline_rank))]
         assert len(pools) == 5
         assert calls == (pools if eta else [])
 
