@@ -27,7 +27,8 @@ import logging
 import math
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .affordance import AffordanceVector, compute_block_affordance, compute_doc_affordance, normalize_av
@@ -55,7 +56,7 @@ def round12(x: float) -> float:
 
 @dataclass
 class BuildConfig:
-    """Pipeline dials; defaults match the CLI."""
+    """Pipeline dials; the CLI takes its defaults from here."""
 
     k_terms: int = 20
     tau: float = 0.5
@@ -98,15 +99,16 @@ class CaseBase:
     corpus_stats: CorpusStats
     lexicon: Lexicon
     config: BuildConfig
-    _by_id: dict[str, Case] = field(default=None, repr=False, compare=False)
 
     @property
     def lexicon_fingerprint(self) -> str:
         return self.lexicon.fingerprint()
 
+    @cached_property
+    def _by_id(self) -> dict[str, Case]:
+        return {c.doc_id: c for c in self.cases}
+
     def case(self, doc_id: str) -> Case:
-        if self._by_id is None:
-            self._by_id = {c.doc_id: c for c in self.cases}
         return self._by_id[doc_id]
 
 
@@ -127,7 +129,7 @@ def select_top_k_terms(tf: Counter, idf: dict[str, float], k: int) -> list[tuple
 
 
 def _describe(
-    doc: RawDocument, lexicon: Lexicon, tau: float, stop_words: frozenset[str] | None
+    doc: RawDocument, lexicon: Lexicon, tau: float, stop_words: frozenset[str]
 ) -> tuple[dict[str, int], list[Counter], AffordanceVector] | None:
     """A page's per-term max tf, kept blocks' term counts and affordance vector; noise blocks drop out.
 
@@ -168,7 +170,7 @@ def build_case(
     lexicon: Lexicon,
     config: BuildConfig,
     corpus_stats: CorpusStats,
-    stop_words: frozenset[str] | None = None,
+    stop_words: frozenset[str] = DEFAULT_STOPWORDS,
 ) -> Case | None:
     """Build one case, or None when every block filters out as noise."""
     description = _describe(doc, lexicon, config.tau, stop_words)
@@ -189,7 +191,7 @@ def populate_case_base(
     corpus_dir: str | Path,
     lexicon: Lexicon,
     config: BuildConfig,
-    stop_words: frozenset[str] | None = None,
+    stop_words: frozenset[str] = DEFAULT_STOPWORDS,
 ) -> CaseBase:
     """Two-pass batch build over a directory of .html/.htm files.
 
@@ -202,10 +204,9 @@ def populate_case_base(
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
         raise InputError(f"corpus directory not found: {corpus_dir}")
-    stops = DEFAULT_STOPWORDS if stop_words is None else stop_words
     for topic in lexicon.topics:
         for term in sorted(topic.terms):
-            if hits := [word for word in tokenize(term, frozenset()) if word in stops]:
+            if hits := [word for word in tokenize(term, frozenset()) if word in stop_words]:
                 message = "lexicon term %r of topic %r can never match: stop-worded text drops %s"
                 logger.warning(message, term, topic.name, ", ".join(hits))
 

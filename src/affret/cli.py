@@ -14,12 +14,17 @@ from .casebase import BuildConfig, load_case_base, populate_case_base, save_case
 from .errors import AffretError
 from .harness import emit_report, load_qrels, load_queries, run_experiment
 from .lexicon import load_lexicon
-from .retrieval import build_index, rerank, retrieve_top_k
-from .affordance import compute_query_affordance
+from .retrieval import Query, build_index
 from .segmenter import tokenize
-from .stopwords import load_stopwords
+from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 
 log = logging.getLogger("affret")
+
+
+def _dial(parser: argparse.ArgumentParser, flag: str, name: str, help: str) -> None:
+    """A flag for the BuildConfig field ``name``, whose type and default it takes."""
+    default = getattr(BuildConfig, name)
+    parser.add_argument(flag, type=type(default), default=default, help=f"{help} (default %(default)s)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -27,39 +32,39 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="affret",
         description="Affordance-guided retrieval over block-segmented web pages.",
     )
+    stop_words = argparse.ArgumentParser(add_help=False)
+    stop_words.add_argument("--stopwords", help="stop-word file, one word per line; without one, a built-in English list")
+    retrieval = argparse.ArgumentParser(add_help=False)
+    retrieval.add_argument("--cb", required=True, help="case base file from `build`")
+    _dial(retrieval, "--k", "k_retrieve", "candidate pool size")
+    _dial(retrieval, "--alpha", "alpha", "blend weight: 0 pure affordance, 1 pure baseline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    build = sub.add_parser("build", help="segment a corpus and persist its case base")
+    build = sub.add_parser("build", parents=[stop_words], help="segment a corpus and persist its case base")
+    build.set_defaults(run=_cmd_build)
     build.add_argument("--corpus", required=True, help="directory of .html/.htm files")
     build.add_argument("--lexicon", required=True, help="topic lexicon file (TSV)")
     build.add_argument("--out", required=True, help="case base output path")
-    build.add_argument("--k-terms", type=int, default=20, help="top terms kept per block (default 20)")
-    build.add_argument("--tau", type=float, default=0.5, help="link-to-text noise threshold (default 0.5)")
-    build.add_argument("--stopwords", default=None, help="optional stop-word file, one word per line")
+    _dial(build, "--k-terms", "k_terms", "top terms kept per block")
+    _dial(build, "--tau", "tau", "link-to-text noise threshold")
 
-    query = sub.add_parser("query", help="run a single ad-hoc text query")
-    query.add_argument("--cb", required=True, help="case base file from `build`")
+    query = sub.add_parser("query", parents=[stop_words, retrieval], help="run a single ad-hoc text query")
+    query.set_defaults(run=_cmd_query)
     query.add_argument("--text", required=True, help="query text")
-    query.add_argument("--k", type=int, default=10, help="candidate pool size (default 10)")
-    query.add_argument("--alpha", type=float, default=0.0, help="blend weight: 0 pure affordance, 1 pure baseline")
-    query.add_argument("--stopwords", default=None, help="optional stop-word file, one word per line")
 
-    ev = sub.add_parser("eval", help="run a query batch and write CSV reports")
-    ev.add_argument("--cb", required=True, help="case base file from `build`")
+    ev = sub.add_parser("eval", parents=[stop_words, retrieval], help="run a query batch and write CSV reports")
+    ev.set_defaults(run=_cmd_eval)
     ev.add_argument("--queries", required=True, help="topic file of <top> blocks")
     ev.add_argument("--out", required=True, help="report output directory")
-    ev.add_argument("--k", type=int, default=10, help="candidate pool size (default 10)")
-    ev.add_argument("--alpha", type=float, default=0.0, help="blend weight: 0 pure affordance, 1 pure baseline")
     ev.add_argument("--use-desc", action="store_true", help="append <desc> tokens to the title query")
-    ev.add_argument("--qrels", default=None, help="relevance judgments for precision@k columns")
-    ev.add_argument("--eta", type=float, default=0.0, help="feedback rate; > 0 revises top-k vectors per query")
-    ev.add_argument("--stopwords", default=None, help="optional stop-word file, one word per line")
+    ev.add_argument("--qrels", help="relevance judgments for precision@k columns")
+    _dial(ev, "--eta", "eta", "feedback rate; > 0 revises top-k vectors per query")
 
     return parser
 
 
-def _stop_words(path: str | None) -> frozenset[str] | None:
-    return load_stopwords(path) if path else None
+def _stop_words(path: str | None) -> frozenset[str]:
+    return load_stopwords(path) if path else DEFAULT_STOPWORDS
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -75,19 +80,16 @@ def _cmd_query(args: argparse.Namespace) -> int:
     cb = load_case_base(args.cb)
     config = BuildConfig(k_retrieve=args.k, alpha=args.alpha)
     index = build_index(cb)
-    stop_words = _stop_words(args.stopwords)
-    tokens = tokenize(args.text, stop_words)
+    tokens = tokenize(args.text, _stop_words(args.stopwords))
     if not tokens:
         print("query is empty after stop-wording", file=sys.stderr)
         return 1
-    pool = retrieve_top_k(tokens, index, cb, config.k_retrieve)
-    if not pool:
+    report = run_experiment(cb, index, [Query(query_id="query", title=tokens)], config)
+    if not report.rows:
         print("no matching cases")
         return 0
-    query_av = compute_query_affordance(tokens, cb.lexicon)
-    ranked = rerank(pool, query_av, cb, alpha=config.alpha)
     print(f"{'rank':>4}  {'doc_id':<40}  {'final':>9}  {'cosine':>8}  {'base_rank':>9}")
-    for entry in ranked.entries:
+    for _, entry in report.rows:
         print(
             f"{entry.final_rank:>4}  {entry.doc_id:<40}  {entry.final_score:>9.6f}"
             f"  {entry.affordance_cosine:>8.6f}  {entry.baseline_rank:>9}"
@@ -99,8 +101,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     cb = load_case_base(args.cb)
     config = BuildConfig(k_retrieve=args.k, alpha=args.alpha, eta=args.eta)
     index = build_index(cb)
-    stop_words = _stop_words(args.stopwords)
-    queries = load_queries(args.queries, stop_words)
+    queries = load_queries(args.queries, _stop_words(args.stopwords))
     qrels = load_qrels(args.qrels) if args.qrels else None
     report = run_experiment(cb, index, queries, config, use_desc=args.use_desc, qrels=qrels)
     rows_path, summary_path = emit_report(report, args.out)
@@ -118,11 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 0
         return 1 if code != 0 else 0
     try:
-        if args.command == "build":
-            return _cmd_build(args)
-        if args.command == "query":
-            return _cmd_query(args)
-        return _cmd_eval(args)
+        return args.run(args)
     except (AffretError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,6 +21,7 @@ from .casebase import CaseBase, BuildConfig, revise_case_affordance
 from .errors import InputError, QueryFormatError, read_text
 from .retrieval import InvertedIndex, Query, ResultEntry, rerank, retrieve_top_k
 from .segmenter import tokenize
+from .stopwords import DEFAULT_STOPWORDS
 
 _TOP_BLOCK = re.compile(r"<top>(.*?)</top>", re.DOTALL | re.IGNORECASE)
 _FIELD = {
@@ -63,7 +64,7 @@ def _field_text(block: str, name: str) -> str:
     return match.group(1).strip() if match else ""
 
 
-def load_queries(path: str | Path, stop_words: frozenset[str] | None = None) -> list[Query]:
+def load_queries(path: str | Path, stop_words: frozenset[str] = DEFAULT_STOPWORDS) -> list[Query]:
     """Parse a topic file of <top> blocks with num/title and optional desc.
 
     Titles run through the same tokenizer as document text; a query whose
@@ -180,7 +181,9 @@ def run_experiment(
             for cand in pool:
                 revise_case_affordance(cand.case, query_av, config.eta)
 
-    echo = {**asdict(config), "use_desc": use_desc, "lexicon_fingerprint": cb.lexicon_fingerprint}
+    # the build dials are the case base's own; config sets only the retrieval dials
+    build = {"k_terms": cb.config.k_terms, "tau": cb.config.tau}
+    echo = {**asdict(config), **build, "use_desc": use_desc, "lexicon_fingerprint": cb.lexicon_fingerprint}
     return RunReport(rows=rows, summaries=summaries, config_echo=echo, has_precision=qrels is not None)
 
 

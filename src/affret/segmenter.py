@@ -219,7 +219,7 @@ def link_to_text_ratio(block: Block) -> float:
     return block.linked_chars / total
 
 
-def extract_block_text(block: Block, threshold: float = 0.5) -> str:
+def extract_block_text(block: Block, threshold: float) -> str:
     """Clean text of a block, skipping anchor text in link-heavy blocks.
 
     When the link-to-text ratio exceeds ``threshold`` the hyperlinked text is
@@ -319,7 +319,6 @@ def dedupe_sentences(text: str) -> str:
     return "".join(out)
 
 
-def tokenize(text: str, stop_words: frozenset[str] | None = None) -> list[str]:
+def tokenize(text: str, stop_words: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
     """Case-folded, punctuation-free tokens in document order, stop words removed."""
-    stops = DEFAULT_STOPWORDS if stop_words is None else stop_words
-    return [t for t in _TOKEN.findall(text.casefold()) if t not in stops]
+    return [t for t in _TOKEN.findall(text.casefold()) if t not in stop_words]

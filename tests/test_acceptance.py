@@ -309,11 +309,13 @@ SAMPLE_DIGESTS = {
     "cb.jsonl": "c076e09e581b94152b7080719dcec0cc5c7569b3592b09399d067eacfa305d1b",
     "rows.csv": "c684e0c4f459dc1a91e4c165c8460f36feba845393be9ec18ddf26d2042244f6",
     "summary.csv": "935f5c275d84c5def9c543d385aaf05d82a1dc71a058027e096e5b27d1dcdc82",
+    "run_config.json": "d277312fd1f5ffebce484133c7f0b5ffccc32ec23a2e5ceb50f47a40658b3594",
+    "query stdout": "d00950f740583bc05b49128bcc349d6d2bd40b3872365b0a12264c34faf596fd",
 }
 
 
 def test_criterion_7_bundled_sample_bytes_are_pinned(capsys, tmp_path):
-    with criterion(capsys, 7, "affret build + eval on the bundled sample write the pinned bytes"):
+    with criterion(capsys, 7, "affret build, eval and query on the bundled sample write the pinned bytes"):
         cb = tmp_path / "cb.jsonl"
         report = tmp_path / "report"
         build = ["build", "--corpus", str(SAMPLE / "corpus"), "--lexicon", str(SAMPLE / "lexicon.tsv"), "--out", str(cb)]
@@ -323,9 +325,12 @@ def test_criterion_7_bundled_sample_bytes_are_pinned(capsys, tmp_path):
             "--eta", "0.5", "--alpha", "0.25", "--out", str(report),
         ]
         assert cli_main(evaluate) == 0
-        written = {name: report / name for name in ("rows.csv", "summary.csv")}
-        written["cb.jsonl"] = cb
-        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in written.items()}
+        capsys.readouterr()
+        assert cli_main(["query", "--cb", str(cb), "--text", "beach temple", "--k", "5", "--alpha", "0.25"]) == 0
+        written = {name: (report / name).read_bytes() for name in ("rows.csv", "summary.csv", "run_config.json")}
+        written["cb.jsonl"] = cb.read_bytes()
+        written["query stdout"] = capsys.readouterr().out.encode("utf-8")
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in written.items()}
         assert digests == SAMPLE_DIGESTS
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affret import (
+    BuildConfig,
     CaseBaseFormatError,
     build_index,
     compute_query_affordance,
@@ -179,6 +180,13 @@ class TestEval:
         assert (workspace / "report" / "summary.csv").exists()
         echo = json.loads((workspace / "report" / "run_config.json").read_text(encoding="utf-8"))
         assert echo["eta"] == 0.0
+
+    def test_config_echo_takes_build_dials_from_the_case_base(self, workspace):
+        assert main(build_args(workspace, k_terms=5, tau=0.3)) == 0
+        assert main(self.eval_args(workspace, k=3, alpha=0.5, eta=0.25)) == 0
+        echo = json.loads((workspace / "report" / "run_config.json").read_text(encoding="utf-8"))
+        assert (echo["k_terms"], echo["tau"]) == (5, 0.3)
+        assert (echo["k_retrieve"], echo["alpha"], echo["eta"]) == (3, 0.5, 0.25)
 
     def test_qrels_add_precision_columns(self, workspace):
         main(build_args(workspace))
@@ -589,6 +597,24 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "build" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, dials",
+        [
+            ("build", {"--k-terms": "k_terms", "--tau": "tau"}),
+            ("query", {"--k": "k_retrieve", "--alpha": "alpha"}),
+            ("eval", {"--k": "k_retrieve", "--alpha": "alpha", "--eta": "eta"}),
+        ],
+    )
+    def test_help_shows_build_config_defaults(self, capsys, command, dials):
+        capsys.readouterr()
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for flag, name in dials.items():
+            metavar = flag[2:].upper().replace("-", "_")
+            # the flag's own help entry, which runs up to the next option
+            pattern = rf"{flag} {metavar} (?:(?!--).)*\(default {getattr(BuildConfig, name)}\)"
+            assert re.search(pattern, text), f"{command} --help: {flag} does not show {name}'s default"
 
     def test_unexpected_failure_maps_to_two(self, workspace, monkeypatch):
         import affret.cli as cli_module
