@@ -5,8 +5,10 @@ discriminative terms of each block, weighted by block-local tf-idf) plus a
 solution (the document's affordance vector and id). The build is two-pass so
 document frequencies exist before term selection; pass order is sorted by
 doc_id, which makes rebuilds bit-identical. Pass 1 keeps each page's per-term
-max tf, block term counts and affordance vector, not its tokens; pass 2 takes
-each distinct term's selection idf once per page.
+max tf, block term counts and affordance vector, not its tokens. Pass 2 takes
+one selection idf per distinct document frequency and one rounding per
+distinct weight, both over the whole build, and keeps a block of at most k
+distinct terms whole without ranking it.
 
 Persistence is line-delimited JSON with sorted keys. affret quantizes every
 float it computes to 12 significant digits *at construction time*: term
@@ -27,8 +29,10 @@ import logging
 import math
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from operator import neg
 from pathlib import Path
 
 from .affordance import AffordanceVector, compute_block_affordance, compute_doc_affordance, normalize_av
@@ -117,15 +121,31 @@ def selection_idf(term: str, stats: CorpusStats) -> float:
     return math.log(1.0 + stats.n_cases / (1.0 + stats.df.get(term, 0)))
 
 
-def select_top_k_terms(tf: Counter, idf: dict[str, float], k: int) -> list[tuple[str, float]]:
+def _rounded_once(weights: list[float], rounded: dict[float, float]) -> Iterator[float]:
+    """``round12`` of each weight, through ``rounded``, the memo that rounds each distinct weight once."""
+    for weight in weights:
+        if weight not in rounded:
+            rounded[weight] = round12(weight)
+    return map(rounded.__getitem__, weights)
+
+
+def select_top_k_terms(
+    tf: Counter, idf: dict[str, float], k: int, _rounded: dict[float, float] | None = None
+) -> list[tuple[str, float]]:
     """The k distinct highest tf-idf terms of a block, ties broken by term order.
 
     ``tf`` holds the block's term counts and ``idf`` the selection idf of each
-    of its terms; fewer than k distinct terms returns them all.
+    of its terms; fewer than k distinct terms returns them all. A term's
+    weight is ``round12(count * idf)``. The build ranks only blocks of more
+    than k distinct terms, and passes ``_rounded``, its memo of ``round12`` by
+    weight over all its blocks; without one, each weight is rounded anew.
     """
-    weighted = [(term, round12(count * idf[term])) for term, count in tf.items()]
-    weighted.sort(key=lambda tw: (-tw[1], tw[0]))
-    return weighted[:k]
+    if k < 1:
+        raise InputError("k must be >= 1")
+    weights = [count * idf[term] for term, count in tf.items()]
+    values = map(round12, weights) if _rounded is None else _rounded_once(weights, _rounded)
+    ranked = sorted(zip(map(neg, values), tf))
+    return [(term, -value) for value, term in ranked[:k]]
 
 
 def _describe(
@@ -156,13 +176,38 @@ def _describe(
     return max_tf, block_tfs, compute_doc_affordance(block_avs, m=lexicon.m)
 
 
-def _case(
-    doc_id: str, max_tf: dict[str, int], block_tfs: list[Counter], av: AffordanceVector, k: int, stats: CorpusStats
-) -> Case:
-    idf = {term: selection_idf(term, stats) for term in max_tf}
-    selected = {term for tf in block_tfs for term, _ in select_top_k_terms(tf, idf, k)}
-    prob_desc = {term: round12(max_tf[term] * idf[term]) for term in sorted(selected)}
-    return Case(doc_id=doc_id, prob_desc=prob_desc, av=av, av_revised=list(av))
+def _cases(
+    described: list[tuple[str, dict[str, int], list[Counter], AffordanceVector]], k: int, stats: CorpusStats
+) -> list[Case]:
+    """Pass 2: each described page's case, whose description is the union of its blocks' top-k terms.
+
+    A term's idf depends only on its df, and a weight's rounding only on the
+    weight, so each is computed once per distinct df and weight over all the
+    pages of one call. A weight is ``count * idf`` with count >= 1 and an idf
+    from ``math.log``, which never returns -0.0, so no weight is -0.0 and no
+    two distinct weights (0.0 and -0.0 would) share a memo key.
+    """
+    df = stats.df
+    idf_by_df: dict[int, float] = {}
+    rounded: dict[float, float] = {}
+    cases = []
+    for doc_id, max_tf, block_tfs, av in described:
+        idf = {}
+        for term in max_tf:
+            if (value := idf_by_df.get(term_df := df.get(term, 0))) is None:
+                value = idf_by_df[term_df] = selection_idf(term, stats)
+            idf[term] = value
+        selected = set()
+        for tf in block_tfs:
+            # select_top_k_terms keeps every term of such a block
+            if len(tf) <= k:
+                selected.update(tf)
+            else:
+                selected.update(term for term, _ in select_top_k_terms(tf, idf, k, rounded))
+        terms = sorted(selected)
+        prob_desc = dict(zip(terms, _rounded_once([max_tf[term] * idf[term] for term in terms], rounded)))
+        cases.append(Case(doc_id=doc_id, prob_desc=prob_desc, av=av, av_revised=list(av)))
+    return cases
 
 
 def build_case(
@@ -174,7 +219,7 @@ def build_case(
 ) -> Case | None:
     """Build one case, or None when every block filters out as noise."""
     description = _describe(doc, lexicon, config.tau, stop_words)
-    return None if description is None else _case(doc.doc_id, *description, config.k_terms, corpus_stats)
+    return None if description is None else _cases([(doc.doc_id, *description)], config.k_terms, corpus_stats)[0]
 
 
 def _corpus_files(corpus_dir: Path) -> list[tuple[str, Path]]:
@@ -224,7 +269,7 @@ def populate_case_base(
             described.append((doc_id, *description))
 
     stats = CorpusStats(df=dict(df), n_cases=len(described))
-    cases = [_case(*description, config.k_terms, stats) for description in described]
+    cases = _cases(described, config.k_terms, stats)
     if not cases:
         raise CaseBaseBuildError(f"no admissible cases in {corpus_dir}")
     return CaseBase(

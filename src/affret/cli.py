@@ -11,10 +11,10 @@ import logging
 import sys
 
 from .casebase import BuildConfig, load_case_base, populate_case_base, save_case_base
-from .errors import AffretError
+from .errors import AffretError, CompatibilityError
 from .harness import emit_report, load_qrels, load_queries, run_experiment
 from .lexicon import load_lexicon
-from .retrieval import Query, build_index
+from .retrieval import InvertedIndex, Query, build_index
 from .segmenter import tokenize
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 
@@ -67,6 +67,18 @@ def _stop_words(path: str | None) -> frozenset[str]:
     return load_stopwords(path) if path else DEFAULT_STOPWORDS
 
 
+def _query_stop_words(args: argparse.Namespace, index: InvertedIndex) -> frozenset[str]:
+    """The active stop list, checked against the case base: it must drop no term the build kept."""
+    stop_words = _stop_words(args.stopwords)
+    # every indexed term passed the build's stop list, so an indexed stop word proves the lists differ
+    if indexed := sorted(index.term_ordinals.keys() & stop_words):
+        raise CompatibilityError(
+            f"{args.cb}: case base was built with a different stop-word list; it indexes the active"
+            f" stop words {indexed[:5]}, so pass --stopwords with the list it was built with"
+        )
+    return stop_words
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
     config = BuildConfig(k_terms=args.k_terms, tau=args.tau)
     lexicon = load_lexicon(args.lexicon)
@@ -80,7 +92,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     cb = load_case_base(args.cb)
     config = BuildConfig(k_retrieve=args.k, alpha=args.alpha)
     index = build_index(cb)
-    tokens = tokenize(args.text, _stop_words(args.stopwords))
+    tokens = tokenize(args.text, _query_stop_words(args, index))
     if not tokens:
         print("query is empty after stop-wording", file=sys.stderr)
         return 1
@@ -101,7 +113,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     cb = load_case_base(args.cb)
     config = BuildConfig(k_retrieve=args.k, alpha=args.alpha, eta=args.eta)
     index = build_index(cb)
-    queries = load_queries(args.queries, _stop_words(args.stopwords))
+    queries = load_queries(args.queries, _query_stop_words(args, index))
     qrels = load_qrels(args.qrels) if args.qrels else None
     report = run_experiment(cb, index, queries, config, use_desc=args.use_desc, qrels=qrels)
     rows_path, summary_path = emit_report(report, args.out)

@@ -26,7 +26,7 @@ class CaseBaseBuildError(AffretError):
 
 
 class CompatibilityError(AffretError):
-    """Case base was built against a different lexicon than the active one."""
+    """Case base was built against a different lexicon or stop-word list than the active one."""
 
 
 class QueryFormatError(AffretError):

@@ -228,6 +228,20 @@ def match_counts(tokens: list[str], lexicon) -> list[int]:
     return counts
 
 
+def select_top_k_terms(tf, idf: dict[str, float], k: int) -> list[tuple[str, float]]:
+    """Reference ``casebase.select_top_k_terms``: every weight rounded on its own, sorted through a key."""
+    weighted = [(term, round12(count * idf[term])) for term, count in tf.items()]
+    weighted.sort(key=lambda tw: (-tw[1], tw[0]))
+    return weighted[:k]
+
+
+def case_description(max_tf: dict[str, int], block_tfs: list, k: int, stats) -> dict[str, float]:
+    """Reference problem description: one idf per term of the page, every block ranked."""
+    idf = {term: selection_idf(term, stats) for term in max_tf}
+    selected = {term for tf in block_tfs for term, _ in select_top_k_terms(tf, idf, k)}
+    return {term: round12(max_tf[term] * idf[term]) for term in sorted(selected)}
+
+
 def retrieve_top_k(q_tokens: list[str], index, cb, k: int) -> list:
     """Reference ``retrieval.retrieve_top_k``: per-query dict accumulators, full sort.
 

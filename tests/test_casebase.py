@@ -8,6 +8,7 @@ import math
 import re
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -43,6 +44,7 @@ from affret import (
     selection_idf,
     tokenize,
 )
+from affret import casebase
 
 import oracles
 from conftest import fuzz_html, write_corpus
@@ -133,6 +135,84 @@ class TestSelectTopKTerms:
     def test_reads_weights_from_the_given_idf_map(self):
         top = select_top_k_terms(Counter({"a": 2, "b": 1}), {"a": 0.25, "b": 3.0}, k=2)
         assert top == [("b", 3.0), ("a", 0.5)]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        # a slice would read k=-1 as every term but the lowest-ranked
+        with pytest.raises(InputError, match="k must be >= 1"):
+            select_top_k_terms(Counter({"a": 2, "b": 1}), {"a": 0.25, "b": 3.0}, k)
+
+
+TERMS = [f"t{i:02d}" for i in range(14)]
+
+
+@st.composite
+def blocks(draw, k: int) -> Counter:
+    """A block's term counts, often of k - 1, k or k + 1 distinct terms."""
+    size = draw(st.sampled_from([k - 1, k, k + 1]) | st.integers(0, len(TERMS)), label="distinct terms")
+    chosen = draw(st.permutations(TERMS))[:size]
+    return Counter({term: draw(st.integers(1, 4)) for term in chosen})
+
+
+@st.composite
+def idf_maps(draw) -> dict[str, float]:
+    """Selection idfs where some weights tie (count 1 at 2x, count 2 at x) and some differ below the 12th digit."""
+    base = draw(st.floats(1e-3, 1e3))
+    pool = [base, 2 * base, math.nextafter(base, math.inf), base * (1 + 1e-13), draw(st.floats(0.0, 1e6))]
+    return {term: draw(st.sampled_from(pool) | st.floats(0.0, 1e6)) for term in TERMS}
+
+
+@st.composite
+def corpus_stats(draw) -> CorpusStats:
+    if draw(st.booleans(), label="idfs a few ulps apart"):
+        # distinct dfs whose idfs, and so weights, round to the same 12 digits
+        n, dfs = 10**26, st.integers(10**11, 10**11 + 3)
+    else:
+        n = draw(st.integers(1, 40))
+        dfs = st.integers(0, n)
+    df = {term: draw(dfs) for term in TERMS if draw(st.booleans())}
+    return CorpusStats(df=df, n_cases=n)
+
+
+class TestSelectionMatchesOracle:
+    """Pass 2's memos and small-block shortcut against every block ranked and every weight rounded on its own."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_select_top_k_terms(self, data):
+        k = data.draw(st.integers(1, 6), label="k")
+        rounded: dict[float, float] = {}
+        for _ in range(data.draw(st.integers(1, 6), label="blocks")):
+            tf, idf = data.draw(blocks(k)), data.draw(idf_maps())
+            expected = oracles.select_top_k_terms(tf, idf, k)
+            for top in (select_top_k_terms(tf, idf, k), select_top_k_terms(tf, idf, k, rounded)):
+                assert [term for term, _ in top] == [term for term, _ in expected]
+                assert bits(value for _, value in top) == bits(value for _, value in expected)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_descriptions_over_many_pages(self, data):
+        k = data.draw(st.integers(1, 6), label="k")
+        described = []
+        for n in range(data.draw(st.integers(1, 8), label="pages")):
+            block_tfs = data.draw(st.lists(blocks(k), min_size=1, max_size=5))
+            max_tf: dict[str, int] = {}
+            for tf in block_tfs:
+                for term, count in tf.items():
+                    max_tf[term] = max(max_tf.get(term, 0), count)
+            described.append((f"p{n}", max_tf, block_tfs, [0]))
+        stats = data.draw(corpus_stats())
+        # the same dfs over twice the cases: other idfs for the same memo keys
+        for stats in (stats, CorpusStats(df=stats.df, n_cases=2 * stats.n_cases)):
+            with mock.patch.object(casebase, "select_top_k_terms", wraps=select_top_k_terms) as ranking:
+                cases = casebase._cases(described, k, stats)
+            ranked = [len(call.args[0]) for call in ranking.call_args_list]
+            assert ranked == [len(tf) for _, _, block_tfs, _ in described for tf in block_tfs if len(tf) > k]
+            for case, (doc_id, max_tf, block_tfs, _) in zip(cases, described, strict=True):
+                expected = oracles.case_description(max_tf, block_tfs, k, stats)
+                assert case.doc_id == doc_id
+                assert list(case.prob_desc) == list(expected)
+                assert bits(case.prob_desc.values()) == bits(expected.values())
 
 
 def doc(markup: str, doc_id: str = "d"):

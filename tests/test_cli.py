@@ -211,6 +211,45 @@ class TestEval:
         assert main(args) == 1
 
 
+class TestStopWordMismatch:
+    """A case base queried with a stop list that drops terms the build kept is rejected, not answered."""
+
+    @pytest.fixture
+    def built(self, workspace):
+        # the build keeps the default stop words of a.html ("all") and b.html ("and", "a")
+        (workspace / "zzz.txt").write_text("zzz\n", encoding="utf-8")
+        assert main(build_args(workspace, stopwords=workspace / "zzz.txt")) == 0
+        return workspace
+
+    def run_args(self, ws, command, *extra):
+        cb = str(ws / "cb.jsonl")
+        if command == "query":
+            return ["query", "--cb", cb, "--text", "beach and temple", *extra]
+        return ["eval", "--cb", cb, "--queries", str(ws / "queries.txt"), "--out", str(ws / "report"), *extra]
+
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_default_list_is_rejected(self, built, capsys, command):
+        capsys.readouterr()
+        assert main(self.run_args(built, command)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {built / 'cb.jsonl'}: case base was built with a different stop-word list; it indexes"
+            " the active stop words ['a', 'all', 'and'], so pass --stopwords with the list it was built with\n"
+        )
+        assert not (built / "report").exists()
+
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    def test_the_list_it_was_built_with_is_served(self, built, capsys, command):
+        assert main(self.run_args(built, command, "--stopwords", str(built / "zzz.txt"))) == 0
+
+    def test_names_at_most_five_words(self, workspace, capsys):
+        write_corpus(workspace / "corpus", {"d.html": "<p>it is in the shade of a tree by the sea and to the beach</p>"})
+        (workspace / "zzz.txt").write_text("zzz\n", encoding="utf-8")
+        assert main(build_args(workspace, stopwords=workspace / "zzz.txt")) == 0
+        capsys.readouterr()
+        assert main(self.run_args(workspace, "query")) == 1
+        assert "the active stop words ['a', 'all', 'and', 'by', 'in'], so" in capsys.readouterr().err
+
+
 def rewrite_records(path, edit):
     """Rewrite the saved case base at ``path`` after ``edit`` changes its list of records."""
     records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
