@@ -136,14 +136,14 @@ def select_top_k_terms(
 
     ``tf`` holds the block's term counts and ``idf`` the selection idf of each
     of its terms; fewer than k distinct terms returns them all. A term's
-    weight is ``round12(count * idf)``. The build ranks only blocks of more
-    than k distinct terms, and passes ``_rounded``, its memo of ``round12`` by
-    weight over all its blocks; without one, each weight is rounded anew.
+    weight is ``round12(count * idf)``, rounded through ``_rounded``, a memo
+    of ``round12`` by weight. The build ranks only blocks of more than k
+    distinct terms and passes one memo for all its blocks.
     """
     if k < 1:
         raise InputError("k must be >= 1")
     weights = [count * idf[term] for term, count in tf.items()]
-    values = map(round12, weights) if _rounded is None else _rounded_once(weights, _rounded)
+    values = _rounded_once(weights, {} if _rounded is None else _rounded)
     ranked = sorted(zip(map(neg, values), tf))
     return [(term, -value) for value, term in ranked[:k]]
 
