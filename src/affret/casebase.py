@@ -140,6 +140,8 @@ def select_top_k_terms(
     of ``round12`` by weight. The build ranks only blocks of more than k
     distinct terms and passes one memo for all its blocks.
     """
+    if type(k) is not int:
+        raise InputError("k must be an integer")
     if k < 1:
         raise InputError("k must be >= 1")
     weights = [count * idf[term] for term, count in tf.items()]

@@ -23,17 +23,21 @@ case's ``prob_desc`` weight at that moment. ``baseline_score`` recovers tf
 and norm from the case's own ``prob_desc`` with the same expressions, so
 the same floats. A query adds the entries of its terms, in sorted
 term order, into per-ordinal sums, which is the order in which
-``baseline_score`` adds a case's matched terms. Selection keeps the scores at
-or above the k-th largest (so ties at the cut survive), sorts only those,
-and builds candidates for the k it returns. The ``(ordinal, tf)`` posting
-lists and per-case tf maps that reference scorers read are built on first
-access, never by a query or by ``baseline_score``.
+``baseline_score`` adds a case's matched terms. A ``Counter`` counts each
+touched case's matched terms in C, coord (``count / n_terms``) is taken once
+per match count, and each touched case's score is ``coord * sum`` in one
+list, so every score is the float ``baseline_score`` gives. Selection keeps
+the scores at or above the k-th largest (so ties at the cut survive), sorts
+only those, and builds candidates for the k it returns. The ``(ordinal, tf)``
+posting lists and per-case tf maps that reference scorers read are built on
+first access, never by a query or by ``baseline_score``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -196,30 +200,38 @@ def retrieve_top_k(q_tokens: list[str], index: InvertedIndex, cb: CaseBase, k: i
 
     Only cases with a nonzero score qualify, so fewer than k candidates may
     come back. Ties break by ascending doc_id. Equivalent to scoring every
-    case with ``baseline_score`` and sorting, bit for bit.
+    case with ``baseline_score`` and sorting, bit for bit. The posting loop
+    only adds contributions into per-ordinal sums; a ``Counter`` counts each
+    touched case's matched terms in C, and coord is computed once per
+    match count. Each score is the float ``baseline_score`` gives: the same
+    sum order, the same ``count / n_terms`` and the same product.
     """
+    if type(k) is not int:
+        raise InputError("k must be an integer")
     if k < 1:
         raise InputError("k must be >= 1")
     q_terms = sorted(set(q_tokens))
     if not q_terms:
         return []
     sums = [0.0] * index.n_cases
-    matches = [0] * index.n_cases
-    touched: set[int] = set()
+    matches: Counter[int] = Counter()
     for t in q_terms:
         entry = index.scoring_entry(t)
         if entry is None:
             continue
         term_ordinals, contributions = entry
-        touched.update(term_ordinals)
+        matches.update(term_ordinals)
         for ordinal, contribution in zip(term_ordinals, contributions):
             sums[ordinal] += contribution
-            matches[ordinal] += 1
     n_terms = len(q_terms)
-    scores = {ordinal: (matches[ordinal] / n_terms) * sums[ordinal] for ordinal in touched}
-    if len(scores) > k:
-        cut = heapq.nlargest(k, scores.values())[-1]
-        scores = {ordinal: score for ordinal, score in scores.items() if score >= cut}
+    coord = [count / n_terms for count in range(n_terms + 1)]
+    # aligned with the Counter's keys, the touched ordinals
+    totals = [coord[count] * sums[ordinal] for ordinal, count in matches.items()]
+    if len(totals) > k:
+        cut = heapq.nlargest(k, totals)[-1]
+        scores = {ordinal: score for ordinal, score in zip(matches, totals) if score >= cut}
+    else:
+        scores = dict(zip(matches, totals))
     cases = cb.cases
     ranked = sorted(scores, key=lambda ordinal: (-scores[ordinal], cases[ordinal].doc_id))
     return [Candidate(case=cases[ordinal], baseline_score=scores[ordinal]) for ordinal in ranked[:k]]

@@ -142,6 +142,12 @@ class TestSelectTopKTerms:
         with pytest.raises(InputError, match="k must be >= 1"):
             select_top_k_terms(Counter({"a": 2, "b": 1}), {"a": 0.25, "b": 3.0}, k)
 
+    @pytest.mark.parametrize("k", [2.5, True, "3"])
+    def test_k_not_an_int_rejected(self, k):
+        # a bool is an int to Python, and a slice would read True as k = 1
+        with pytest.raises(InputError, match="k must be an integer"):
+            select_top_k_terms(Counter({"a": 2, "b": 1}), {"a": 0.25, "b": 3.0}, k)
+
 
 TERMS = [f"t{i:02d}" for i in range(14)]
 

@@ -166,6 +166,12 @@ class TestRetrieveTopK:
         with pytest.raises(InputError):
             retrieve_top_k(["beach"], build_index(small_case_base), small_case_base, k=0)
 
+    @pytest.mark.parametrize("k", [2.5, True, "3"])
+    def test_k_must_be_an_int(self, small_case_base, k):
+        # rejected before any posting is scored; a bool is an int to Python but not a pool size
+        with pytest.raises(InputError, match="k must be an integer"):
+            retrieve_top_k(["beach"], build_index(small_case_base), small_case_base, k)
+
     def test_empty_query_returns_empty_pool(self, small_case_base):
         assert retrieve_top_k([], build_index(small_case_base), small_case_base, k=3) == []
 
@@ -230,8 +236,28 @@ def tied_case_bases(draw):
     return case_base_of(descriptions, doc_ids)
 
 
+@st.composite
+def large_tied_case_bases(draw):
+    """50-300 cases drawn from 2-5 descriptions, so hundreds of cases tie at
+    the cut, in an ordinal order unrelated to doc_id order."""
+    templates = draw(
+        st.lists(
+            st.dictionaries(st.sampled_from(VOCAB), st.integers(1, 3), min_size=1, max_size=4),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    n = draw(st.integers(50, 300))
+    rnd = draw(st.randoms(use_true_random=False))
+    descriptions = [rnd.choice(templates) for _ in range(n)]
+    doc_ids = [f"d{i:03d}" for i in range(n)]
+    rnd.shuffle(doc_ids)
+    return case_base_of(descriptions, doc_ids)
+
+
 def identities(pool):
-    return [(id(c.case), c.baseline_score) for c in pool]
+    """Each candidate's case identity and the bits of its score."""
+    return [(id(c.case), c.baseline_score.hex()) for c in pool]
 
 
 class TestRetrieveMatchesOracle:
@@ -248,6 +274,16 @@ class TestRetrieveMatchesOracle:
             # a fresh index fills its scoring entries; ``index`` reuses them after the first k
             assert identities(retrieve_top_k(query, build_index(cb), cb, k_)) == expected
             assert identities(retrieve_top_k(query, index, cb, k_)) == expected
+
+    @given(large_tied_case_bases(), st.lists(st.sampled_from(QUERY_WORDS), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_many_way_ties_at_the_cut_on_large_bases(self, cb, query):
+        warm = build_index(cb)
+        retrieve_top_k(query, warm, cb, 1)
+        for k in (1, 10, len(cb.cases) + 3):
+            expected = identities(oracles.retrieve_top_k(query, warm, cb, k))
+            assert identities(retrieve_top_k(query, build_index(cb), cb, k)) == expected
+            assert identities(retrieve_top_k(query, warm, cb, k)) == expected
 
     def test_ties_across_the_cut_keep_lowest_doc_ids(self):
         doc_ids = [f"d{i:02d}" for i in range(12)]
