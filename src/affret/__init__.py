@@ -52,7 +52,6 @@ from .lexicon import (
     Lexicon,
     Topic,
     load_lexicon,
-    save_lexicon,
     serialize_lexicon,
 )
 from .retrieval import (
@@ -133,7 +132,6 @@ __all__ = [
     "round12",
     "run_experiment",
     "save_case_base",
-    "save_lexicon",
     "segment_blocks",
     "select_top_k_terms",
     "selection_idf",

@@ -28,16 +28,9 @@ def compute_query_affordance(tokens: list[str], lexicon: Lexicon) -> AffordanceV
     return compute_block_affordance(tokens, lexicon)
 
 
-def compute_doc_affordance(block_avs: list[AffordanceVector], m: int | None = None) -> AffordanceVector:
-    """Element-wise sum of block vectors; an empty block list gives a zero vector.
-
-    ``m`` fixes the dimension when the block list is empty.
-    """
-    if not block_avs:
-        return [0.0] * (m or 0)
-    width = len(block_avs[0])
-    if m is not None and width != m:
-        raise DimensionError(f"block vector has dimension {width}, expected {m}")
+def compute_doc_affordance(block_avs: list[AffordanceVector]) -> AffordanceVector:
+    """Element-wise sum of block vectors, which must share one dimension; no vectors sum to ``[]``."""
+    width = len(block_avs[0]) if block_avs else 0
     total = [0.0] * width
     for av in block_avs:
         if len(av) != width:

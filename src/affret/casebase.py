@@ -44,6 +44,7 @@ from .errors import (
     InputError,
     LexiconFormatError,
     ParseError,
+    check_unit_dial,
     read_text,
 )
 from .lexicon import Lexicon, Topic
@@ -60,7 +61,7 @@ def round12(x: float) -> float:
 
 @dataclass
 class BuildConfig:
-    """Pipeline dials; the CLI takes its defaults from here."""
+    """Pipeline dials; the CLI takes its defaults from here. ``tau``, ``alpha`` and ``eta`` are numbers in [0, 1]."""
 
     k_terms: int = 20
     tau: float = 0.5
@@ -69,18 +70,13 @@ class BuildConfig:
     eta: float = 0.0
 
     def __post_init__(self):
-        if any(type(v) is bool for v in vars(self).values()):
-            raise InputError("config values must be numbers, not true or false")
         if type(self.k_terms) is not int or self.k_terms < 1:
             raise InputError("k_terms must be an integer >= 1")
-        if not 0.0 <= self.tau <= 1.0:
-            raise InputError("tau must lie in [0, 1]")
+        check_unit_dial("tau", self.tau)
         if type(self.k_retrieve) is not int or self.k_retrieve < 1:
             raise InputError("k_retrieve must be an integer >= 1")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InputError("alpha must lie in [0, 1]")
-        if not 0.0 <= self.eta <= 1.0:
-            raise InputError("eta must lie in [0, 1]")
+        check_unit_dial("alpha", self.alpha)
+        check_unit_dial("eta", self.eta)
 
 
 @dataclass
@@ -103,10 +99,6 @@ class CaseBase:
     corpus_stats: CorpusStats
     lexicon: Lexicon
     config: BuildConfig
-
-    @property
-    def lexicon_fingerprint(self) -> str:
-        return self.lexicon.fingerprint()
 
     @cached_property
     def _by_id(self) -> dict[str, Case]:
@@ -175,7 +167,7 @@ def _describe(
     if not max_tf:
         logger.info("skipping %s: no admissible text blocks", doc.doc_id)
         return None
-    return max_tf, block_tfs, compute_doc_affordance(block_avs, m=lexicon.m)
+    return max_tf, block_tfs, compute_doc_affordance(block_avs)
 
 
 def _cases(
@@ -296,7 +288,7 @@ def save_case_base(cb: CaseBase, path: str | Path) -> None:
     encode = _ENCODER.encode
     header = {
         "config": asdict(cb.config),
-        "lexicon_fingerprint": cb.lexicon_fingerprint,
+        "lexicon_fingerprint": cb.lexicon.fingerprint(),
         "m": cb.lexicon.m,
         "N": cb.corpus_stats.n_cases,
     }
@@ -481,8 +473,7 @@ def revise_case_affordance(case: Case, query_av: AffordanceVector, eta: float) -
     feedback grows the vector geometrically; a step that would overflow is
     taken from the vector scaled to a peak of 1 instead, over every component.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise InputError("eta must lie in [0, 1]")
+    check_unit_dial("eta", eta)
     if len(query_av) != len(case.av_revised):
         raise DimensionError(f"dimension mismatch: {len(query_av)} vs {len(case.av_revised)}")
     if eta == 0.0:

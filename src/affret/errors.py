@@ -1,4 +1,4 @@
-"""Exception types shared across the pipeline, and the one reader of text input files."""
+"""Exception types shared across the pipeline, the one reader of text input files, and the one [0, 1] dial check."""
 
 from __future__ import annotations
 
@@ -39,6 +39,12 @@ class DimensionError(AffretError):
 
 class InputError(AffretError):
     """Caller-supplied data violates an operation's preconditions."""
+
+
+def check_unit_dial(name: str, value: object) -> None:
+    """Raise ``InputError`` unless ``value`` is a number in [0, 1]; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+        raise InputError(f"{name} must lie in [0, 1]")
 
 
 def read_text(path: str | Path, error_type: type[AffretError]) -> str:

@@ -183,7 +183,7 @@ def run_experiment(
 
     # the build dials are the case base's own; config sets only the retrieval dials
     build = {"k_terms": cb.config.k_terms, "tau": cb.config.tau}
-    echo = {**asdict(config), **build, "use_desc": use_desc, "lexicon_fingerprint": cb.lexicon_fingerprint}
+    echo = {**asdict(config), **build, "use_desc": use_desc, "lexicon_fingerprint": cb.lexicon.fingerprint()}
     return RunReport(rows=rows, summaries=summaries, config_echo=echo, has_precision=qrels is not None)
 
 

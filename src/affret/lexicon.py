@@ -189,7 +189,3 @@ def serialize_lexicon(lexicon: Lexicon) -> str:
         body = "*" if topic.miscellaneous else ",".join(sorted(topic.terms))
         lines.append(f"{topic.name}\t{body}")
     return "\n".join(lines) + "\n"
-
-
-def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
-    Path(path).write_text(serialize_lexicon(lexicon), encoding="utf-8")

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from .affordance import AffordanceVector, cosine_to_unit, unit_support
 from .casebase import Case, CaseBase, CorpusStats, selection_idf
-from .errors import CaseBaseBuildError, CaseBaseFormatError, InputError
+from .errors import CaseBaseBuildError, CaseBaseFormatError, InputError, check_unit_dial
 
 
 @dataclass
@@ -86,8 +86,8 @@ class InvertedIndex:
             idf_sq = self.idf(term) ** 2
             selection = selection_idf(term, self.corpus_stats)
             descriptions, norms = self.descriptions, self.doc_norms
-            # tf is max(1, round(weight / selection)) as in postings and
-            # case_tfs, spelled without the max() call: this runs per posting
+            # tf is max(1, round(weight / selection)) as in _posting_tfs,
+            # spelled without the max() call: this runs per posting
             try:
                 contributions = [
                     (tf if (tf := round(descriptions[ordinal][term] / selection)) > 1 else 1) * idf_sq * norms[ordinal]
@@ -98,6 +98,15 @@ class InvertedIndex:
             entry = self._entries[term] = (term_ordinals, contributions)
         return entry
 
+    def _posting_tfs(self, term: str) -> list[int]:
+        """The tf of each posting of an indexed term, in ordinal order: the tf rule of both views below."""
+        selection = selection_idf(term, self.corpus_stats)
+        descriptions = self.descriptions
+        try:
+            return [max(1, round(descriptions[o][term] / selection)) for o in self.term_ordinals[term]]
+        except OverflowError as exc:
+            raise CaseBaseFormatError(f"case base weight of {term!r} is too large to recover its tf") from exc
+
     @cached_property
     def postings(self) -> dict[str, list[tuple[int, int]]]:
         """term -> [(case ordinal, tf)] sorted by ordinal; built on first access.
@@ -105,11 +114,7 @@ class InvertedIndex:
         The query path never reads it; it is the tf view that reference
         scorers walk.
         """
-        postings = {}
-        for term, ordinals in self.term_ordinals.items():
-            selection = selection_idf(term, self.corpus_stats)
-            postings[term] = [(o, max(1, round(self.descriptions[o][term] / selection))) for o in ordinals]
-        return postings
+        return {term: list(zip(ordinals, self._posting_tfs(term))) for term, ordinals in self.term_ordinals.items()}
 
     @cached_property
     def case_tfs(self) -> list[dict[str, int]]:
@@ -117,17 +122,10 @@ class InvertedIndex:
 
         Read by reference scorers only, never by the query path.
         """
-        selections: dict[str, float] = {}
-        case_tfs = []
-        for description in self.descriptions:
-            tfs = {}
-            for term, weight in description.items():
-                selection = selections.get(term)
-                if selection is None:
-                    selection = selections[term] = selection_idf(term, self.corpus_stats)
-                tfs[term] = max(1, round(weight / selection))
-            case_tfs.append(tfs)
-        return case_tfs
+        # a term's postings run in ascending ordinal order, so walking the
+        # cases in that order takes each term's tfs in turn
+        columns = {term: iter(self._posting_tfs(term)) for term in self.term_ordinals}
+        return [{term: next(columns[term]) for term in description} for description in self.descriptions]
 
 
 class Candidate(NamedTuple):
@@ -251,8 +249,7 @@ def rerank(
     min-max normalized over the pool (a constant pool contributes 0). The
     result is a permutation of the input pool.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise InputError("alpha must lie in [0, 1]")
+    check_unit_dial("alpha", alpha)
     if not candidates:
         return RankedResult(entries=[])
     scores = [c.baseline_score for c in candidates]

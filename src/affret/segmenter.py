@@ -35,7 +35,6 @@ from .errors import ParseError
 from .stopwords import DEFAULT_STOPWORDS
 
 SEGMENT_TAGS = {"table", "p", "div"}
-TAG_KINDS = {"table": "table", "p": "paragraph", "div": "div"}
 BREAK_TAGS = {"h1", "h2", "h3", "h4", "h5", "h6", "br", "hr", "li", "tr", "td", "th"}
 INVISIBLE_TAGS = {"script", "style", "noscript", "template", "head", "title"}
 VOID_TAGS = {"br", "hr", "img", "input", "meta", "link", "area", "base", "col", "embed", "source", "track", "wbr"}
@@ -61,21 +60,17 @@ class RawDocument:
 class Block:
     """One structural segment of a page.
 
-    ``segments`` preserves the linked/unlinked interleaving needed to drop
-    anchor text later; a ``BREAK_MARK`` entry marks a retained heading or
-    paragraph boundary. ``text`` is the full clean rendering, anchors
-    included, rendered on each access.
+    ``linked_chars`` and ``unlinked_chars`` count its visible characters
+    inside and outside anchors. ``segments`` preserves the linked/unlinked
+    interleaving needed to drop anchor text later; an unlinked
+    ``BREAK_MARK`` entry marks a retained heading or paragraph boundary.
+    ``extract_block_text(block, 1.0)`` is the full clean rendering, anchors
+    included.
     """
 
-    index: int
-    tag_kind: str
     linked_chars: int
     unlinked_chars: int
     segments: tuple[tuple[str, bool], ...] = field(repr=False)
-
-    @property
-    def text(self) -> str:
-        return _render(self.segments, include_linked=True)
 
 
 def parse_document(raw: bytes, doc_id: str) -> RawDocument:
@@ -95,10 +90,10 @@ def parse_document(raw: bytes, doc_id: str) -> RawDocument:
 
 
 class _Accumulator:
-    __slots__ = ("tag_kind", "depth", "segments", "counts")
+    __slots__ = ("tag", "depth", "segments", "counts")
 
-    def __init__(self, tag_kind: str, depth: int):
-        self.tag_kind = tag_kind
+    def __init__(self, tag: str, depth: int):
+        self.tag = tag  # the opening tag; "" for the synthetic block
         self.depth = depth  # stack index of the frame that opened it
         self.segments: list[tuple[str, bool]] = []
         self.counts = [0, 0]  # visible characters: [unlinked, linked]
@@ -114,7 +109,7 @@ class _BlockWalker(HTMLParser):
         # Frames are pushed and cut off at the top only, so each keeps its index.
         self.stack: list[tuple[str, _Accumulator]] = []
         self.accumulators: list[_Accumulator] = []
-        self.synthetic = _Accumulator("synthetic", 0)
+        self.synthetic = _Accumulator("", 0)
         self.anchor_depth = 0
         self.invisible_depth = 0
 
@@ -126,10 +121,14 @@ class _BlockWalker(HTMLParser):
             acc = self._target()
             linked = self.anchor_depth > 0
             acc.segments.append((text, linked))
-            if text != BREAK_MARK:
-                # str.split splits on exactly the characters regex \s matches
-                # (str.isspace), so this counts the non-whitespace characters
-                acc.counts[linked] += len("".join(text.split()))
+            # str.split splits on exactly the characters regex \s matches
+            # (str.isspace), so this counts the non-whitespace characters
+            acc.counts[linked] += len("".join(text.split()))
+
+    def _break(self):
+        # unlinked, so every rendering keeps it; it counts no character
+        if self.invisible_depth == 0:
+            self._target().segments.append((BREAK_MARK, False))
 
     def handle_starttag(self, tag, attrs):
         if tag in INVISIBLE_TAGS:
@@ -142,16 +141,16 @@ class _BlockWalker(HTMLParser):
             # A new segmenting element closes an open <p>: paragraphs do not
             # nest, and real pages rely on that implicit close.
             nearest = self._target()
-            if nearest.tag_kind == "paragraph":
+            if nearest.tag == "p":
                 del self.stack[nearest.depth :]
             # The nested element is a paragraph boundary in its parent's flow.
-            self._append(BREAK_MARK)
-            acc = _Accumulator(TAG_KINDS[tag], len(self.stack))
+            self._break()
+            acc = _Accumulator(tag, len(self.stack))
             self.accumulators.append(acc)
             self.stack.append((tag, acc))
             return
         if tag in BREAK_TAGS:
-            self._append(BREAK_MARK)
+            self._break()
         if tag not in VOID_TAGS:
             self.stack.append((tag, self._target()))
 
@@ -163,12 +162,12 @@ class _BlockWalker(HTMLParser):
             self.anchor_depth = max(0, self.anchor_depth - 1)
             return
         if tag in BREAK_TAGS:
-            self._append(BREAK_MARK)
+            self._break()
         for i in range(len(self.stack) - 1, -1, -1):
             if self.stack[i][0] == tag:
                 del self.stack[i:]
                 if tag in SEGMENT_TAGS:
-                    self._append(BREAK_MARK)
+                    self._break()
                 return
         # stray end tag: ignore
 
@@ -182,12 +181,7 @@ class _BlockWalker(HTMLParser):
 
 
 def _render(segments, include_linked: bool) -> str:
-    parts = []
-    for text, linked in segments:
-        if text == BREAK_MARK:
-            parts.append(BREAK_MARK)
-        elif include_linked or not linked:
-            parts.append(text)
+    parts = [text for text, linked in segments if include_linked or not linked]
     # one blank per whitespace run; the blank this drops at either end
     # would be stripped below anyway
     joined = " ".join("".join(parts).split())
@@ -204,10 +198,10 @@ def segment_blocks(doc: RawDocument) -> list[Block]:
     walker = _BlockWalker()
     walker.feed(doc.markup)
     walker.close()
-    kept = [acc for acc in (*walker.accumulators, walker.synthetic) if any(acc.counts)]
     return [
-        Block(index, acc.tag_kind, acc.counts[True], acc.counts[False], tuple(acc.segments))
-        for index, acc in enumerate(kept)
+        Block(acc.counts[True], acc.counts[False], tuple(acc.segments))
+        for acc in (*walker.accumulators, walker.synthetic)
+        if any(acc.counts)
     ]
 
 

@@ -28,7 +28,6 @@ from affret.segmenter import (
     BREAK_TAGS,
     INVISIBLE_TAGS,
     SEGMENT_TAGS,
-    TAG_KINDS,
     VOID_TAGS,
 )
 
@@ -37,8 +36,7 @@ _BREAK_RUN = re.compile(f" ?(?:{BREAK_MARK} ?)+")
 
 
 class _Accumulator:
-    def __init__(self, tag_kind: str):
-        self.tag_kind = tag_kind
+    def __init__(self):
         self.segments: list[tuple[str, bool]] = []
 
     def has_text(self) -> bool:
@@ -53,7 +51,7 @@ class _BlockWalker(HTMLParser):
         # stack frames: (tag, accumulator-or-None for non-segmenting tags)
         self.stack: list[tuple[str, _Accumulator | None]] = []
         self.accumulators: list[_Accumulator] = []
-        self.synthetic = _Accumulator("synthetic")
+        self.synthetic = _Accumulator()
         self.anchor_depth = 0
         self.invisible_depth = 0
 
@@ -65,7 +63,8 @@ class _BlockWalker(HTMLParser):
 
     def _append(self, text: str):
         if self.invisible_depth == 0 and text:
-            self._target().segments.append((text, self.anchor_depth > 0))
+            # a break is unlinked even inside an anchor
+            self._target().segments.append((text, text != BREAK_MARK and self.anchor_depth > 0))
 
     def handle_starttag(self, tag, attrs):
         if tag in INVISIBLE_TAGS:
@@ -81,7 +80,7 @@ class _BlockWalker(HTMLParser):
                         del self.stack[i:]
                     break
             self._append(BREAK_MARK)
-            acc = _Accumulator(TAG_KINDS[tag])
+            acc = _Accumulator()
             self.accumulators.append(acc)
             self.stack.append((tag, acc))
             return
@@ -145,13 +144,11 @@ def segment_blocks(markup: str) -> list[Block]:
         ordered.append(walker.synthetic)
     return [
         Block(
-            index=index,
-            tag_kind=acc.tag_kind,
             linked_chars=_count_visible(acc.segments, linked=True),
             unlinked_chars=_count_visible(acc.segments, linked=False),
             segments=tuple(acc.segments),
         )
-        for index, acc in enumerate(ordered)
+        for acc in ordered
     ]
 
 
@@ -326,7 +323,7 @@ def save_case_base(cb, path) -> None:
         _dump(
             {
                 "config": asdict(cb.config),
-                "lexicon_fingerprint": cb.lexicon_fingerprint,
+                "lexicon_fingerprint": cb.lexicon.fingerprint(),
                 "m": cb.lexicon.m,
                 "N": cb.corpus_stats.n_cases,
             }

@@ -47,9 +47,9 @@ from affret import (
     round12,
     run_experiment,
     save_case_base,
-    save_lexicon,
     segment_blocks,
     selection_idf,
+    serialize_lexicon,
 )
 from affret.cli import main as cli_main
 
@@ -345,7 +345,7 @@ def test_criterion_8_round_trips(capsys, tmp_path):
         assert loaded.corpus_stats == cb.corpus_stats
         assert loaded.config == cb.config
         assert loaded.lexicon == cb.lexicon
-        assert loaded.lexicon_fingerprint == cb.lexicon_fingerprint
+        assert loaded.lexicon.fingerprint() == cb.lexicon.fingerprint()
 
         # a second generation of the file from the loaded object is identical
         path2 = tmp_path / "cb2.jsonl"
@@ -353,5 +353,5 @@ def test_criterion_8_round_trips(capsys, tmp_path):
         assert path.read_bytes() == path2.read_bytes()
 
         lex_path = tmp_path / "lexicon.tsv"
-        save_lexicon(lexicon, lex_path)
+        lex_path.write_text(serialize_lexicon(lexicon), encoding="utf-8")
         assert load_lexicon(lex_path) == lexicon

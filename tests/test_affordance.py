@@ -56,16 +56,9 @@ class TestDocAffordance:
     def test_zero_propagation(self):
         assert compute_doc_affordance([[0.0, 0.0]]) == [0.0, 0.0]
 
-    def test_empty_document(self):
-        assert compute_doc_affordance([], m=4) == [0.0, 0.0, 0.0, 0.0]
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             compute_doc_affordance([[1.0, 2.0], [1.0]])
-
-    def test_declared_dimension_enforced(self):
-        with pytest.raises(DimensionError):
-            compute_doc_affordance([[1.0, 2.0]], m=3)
 
 
 class TestQueryAffordance:

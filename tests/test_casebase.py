@@ -97,6 +97,12 @@ class TestBuildConfig:
         with pytest.raises(InputError):
             BuildConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["tau", "alpha", "eta"])
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    def test_dial_that_is_not_a_number_rejected(self, field, value):
+        with pytest.raises(InputError, match=rf"{field} must lie in \[0, 1\]"):
+            BuildConfig(**{field: value})
+
 
 def top_k(tokens: list[str], stats: CorpusStats, k: int) -> list[tuple[str, float]]:
     """``select_top_k_terms`` over a block's tokens, with each term's selection idf."""
@@ -415,7 +421,7 @@ class TestPersistence:
         assert loaded.corpus_stats == small_case_base.corpus_stats
         assert loaded.config == small_case_base.config
         assert loaded.lexicon == small_case_base.lexicon
-        assert loaded.lexicon_fingerprint == small_case_base.lexicon_fingerprint
+        assert loaded.lexicon.fingerprint() == small_case_base.lexicon.fingerprint()
 
     def test_active_lexicon_mismatch_rejected(self, small_case_base, tmp_path, lexicon_no_misc):
         path = tmp_path / "cb.jsonl"
@@ -691,6 +697,11 @@ class TestReviseCaseAffordance:
     def test_out_of_range_eta_rejected(self):
         with pytest.raises(InputError):
             revise_case_affordance(self.make_case([1.0]), [1.0], eta=1.5)
+
+    @pytest.mark.parametrize("eta", [True, "0.5", None])
+    def test_eta_that_is_not_a_number_rejected(self, eta):
+        with pytest.raises(InputError, match=r"eta must lie in \[0, 1\]"):
+            revise_case_affordance(self.make_case([1.0]), [1.0], eta=eta)
 
     def test_step_scales_with_vector_length(self):
         short = self.make_case([1.0, 0.0])

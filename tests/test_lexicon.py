@@ -13,7 +13,6 @@ from affret import (
     LexiconFormatError,
     Topic,
     load_lexicon,
-    save_lexicon,
     serialize_lexicon,
 )
 
@@ -130,7 +129,7 @@ class TestMatchCount:
 class TestRoundTrip:
     def test_serialize_load_round_trip(self, tmp_path, lexicon3):
         path = tmp_path / "lex.tsv"
-        save_lexicon(lexicon3, path)
+        path.write_text(serialize_lexicon(lexicon3), encoding="utf-8")
         assert load_lexicon(path) == lexicon3
 
     def test_fingerprint_stable_and_discriminating(self, lexicon3, lexicon_no_misc):
@@ -220,5 +219,5 @@ class TestProperties:
         _, lex = pair
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "l.tsv"
-            save_lexicon(lex, path)
+            path.write_text(serialize_lexicon(lex), encoding="utf-8")
             assert load_lexicon(path) == lex

@@ -16,6 +16,7 @@ from affret import (
     Case,
     CaseBase,
     CaseBaseBuildError,
+    CaseBaseFormatError,
     CorpusStats,
     InputError,
     Lexicon,
@@ -23,10 +24,12 @@ from affret import (
     baseline_score,
     build_index,
     cosine_sim,
+    load_case_base,
     populate_case_base,
     rerank,
     retrieve_top_k,
     round12,
+    save_case_base,
     selection_idf,
 )
 
@@ -84,6 +87,26 @@ class TestBuildIndex:
         cb = corpus_cb(tmp_path, lexicon3, {"d.html": "<p>beach sand temple gardens</p>"})
         index = build_index(cb)
         assert index.doc_norms[0] == pytest.approx(1 / math.sqrt(4))
+
+    def test_unrecoverable_tf_is_a_format_error_in_every_view(self, tmp_path):
+        # over N = 1 and df = 1 the selection idf is below 1, so 1.5e308 / idf
+        # overflows to inf, which rounds to no tf
+        cb = CaseBase(
+            cases=[Case(doc_id="d", prob_desc={"beach": 1.5e308}, av=[1.0], av_revised=[1.0])],
+            corpus_stats=CorpusStats(df={"beach": 1}, n_cases=1),
+            lexicon=MISC_ONLY,
+            config=BuildConfig(),
+        )
+        save_case_base(cb, tmp_path / "cb.jsonl")
+        loaded = load_case_base(tmp_path / "cb.jsonl")
+        views = {
+            "query": lambda index: retrieve_top_k(["beach"], index, loaded, 1),
+            "postings": lambda index: index.postings,
+            "case_tfs": lambda index: index.case_tfs,
+        }
+        for view in views.values():
+            with pytest.raises(CaseBaseFormatError, match="weight of 'beach' is too large to recover its tf"):
+                view(build_index(loaded))
 
     def test_description_insertion_order_is_irrelevant(self, small_case_base):
         shuffled = CaseBase(
@@ -449,6 +472,11 @@ class TestRerank:
     def test_alpha_out_of_range_rejected(self):
         with pytest.raises(InputError):
             rerank(pool_of([(1.0, [1.0])]), [1.0], None, alpha=1.2)
+
+    @pytest.mark.parametrize("alpha", [True, "0.5", None])
+    def test_alpha_that_is_not_a_number_rejected(self, alpha):
+        with pytest.raises(InputError, match=r"alpha must lie in \[0, 1\]"):
+            rerank(pool_of([(1.0, [1.0])]), [1.0], None, alpha=alpha)
 
     def test_use_revised_switches_vector(self):
         case = Case(doc_id="c0", prob_desc={"t": 1.0}, av=[1.0, 0.0], av_revised=[0.0, 1.0])
