@@ -20,6 +20,9 @@ losslessly and rebuilds compare byte-for-byte. Load reads only the layout
 save writes and keeps each value as decoded, so a case base that affret did
 not write keeps whatever digits its values carry, and an integer stays an
 integer, until feedback moves them; a value of the wrong type is rejected.
+Save converts each distinct description weight to its JSON text once per
+call and splices each case line from those texts; the bytes stay the ones
+that encoding each record whole writes.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as quote
 from operator import neg
 from pathlib import Path
 
@@ -211,7 +215,10 @@ def build_case(
     corpus_stats: CorpusStats,
     stop_words: frozenset[str] = DEFAULT_STOPWORDS,
 ) -> Case | None:
-    """Build one case, or None when every block filters out as noise."""
+    """Build one case, or None when every block filters out as noise.
+
+    Raises ``ParseError`` for markup the parser rejects, the page a build skips.
+    """
     description = _describe(doc, lexicon, config.tau, stop_words)
     return None if description is None else _cases([(doc.doc_id, *description)], config.k_terms, corpus_stats)[0]
 
@@ -253,11 +260,10 @@ def populate_case_base(
     described: list[tuple[str, dict[str, int], list[Counter], AffordanceVector]] = []
     for doc_id, path in _corpus_files(corpus_dir):
         try:
-            doc = parse_document(path.read_bytes(), doc_id)
+            description = _describe(parse_document(path.read_bytes(), doc_id), lexicon, config.tau, stop_words)
         except ParseError as exc:
             logger.warning("skipping %s: %s", doc_id, exc)
             continue
-        description = _describe(doc, lexicon, config.tau, stop_words)
         if description is not None:
             df.update(description[0].keys())
             described.append((doc_id, *description))
@@ -284,6 +290,11 @@ def save_case_base(cb: CaseBase, path: str | Path) -> None:
     Values are written as held, not rounded again: affret rounds every value
     it computes, so a case base it built or revised saves byte-identically,
     and one it did not write keeps the digits it was loaded with.
+
+    Description weights repeat across cases (each is ``max_tf * idf(df)``,
+    rounded), so each distinct one is converted to its JSON text once per
+    call and the case line is spliced from those texts; the bytes are the
+    ones the encoder writes for the whole record.
     """
     encode = _ENCODER.encode
     header = {
@@ -293,14 +304,22 @@ def save_case_base(cb: CaseBase, path: str | Path) -> None:
         "N": cb.corpus_stats.n_cases,
     }
     lines = [encode(header) + "\n"]
+    # weight -> its JSON text. Only a nonzero exact float is a key: equal
+    # ones then have the same text, while -0.0 and 0.0, or 1, True and 1.0,
+    # are equal keys with different texts. A nan never finds another nan.
+    texts: dict[float, str] = {}
     for case in cb.cases:
-        record = {
-            "av": case.av,
-            "av_revised": case.av_revised,
-            "doc_id": case.doc_id,
-            "prob_desc": sorted(case.prob_desc.items()),
-        }
-        lines.append(encode(record) + "\n")
+        pairs = []
+        for term, weight in sorted(case.prob_desc.items()):
+            if type(weight) is not float or not weight:
+                text = encode(weight)
+            elif (text := texts.get(weight)) is None:
+                text = texts[weight] = encode(weight)
+            # the encoder's own string writer under ensure_ascii
+            pairs.append(f"[{quote(term) if type(term) is str else encode(term)}, {text}]")
+        # sorted keys put prob_desc last, so its empty list ends the line as "[]}"
+        head = encode({"av": case.av, "av_revised": case.av_revised, "doc_id": case.doc_id, "prob_desc": []})
+        lines.append(f"{head[:-2]}{', '.join(pairs)}]}}\n")
     lines.append(encode({"corpus_stats": {"df": cb.corpus_stats.df, "N": cb.corpus_stats.n_cases}}) + "\n")
     topics = [{"name": t.name, "terms": sorted(t.terms), "miscellaneous": t.miscellaneous} for t in cb.lexicon.topics]
     lines.append(encode({"lexicon": {"topics": topics}}) + "\n")

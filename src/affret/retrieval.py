@@ -56,6 +56,11 @@ class Query:
     desc: list[str] = field(default_factory=list)
 
 
+def _unrecoverable_tf(term: str) -> CaseBaseFormatError:
+    """The error of every tf view for a weight whose quotient by the selection idf overflows."""
+    return CaseBaseFormatError(f"case base weight of {term!r} is too large to recover its tf")
+
+
 @dataclass
 class InvertedIndex:
     # term -> ascending ordinals of the cases whose description holds it,
@@ -94,7 +99,7 @@ class InvertedIndex:
                     for ordinal in term_ordinals
                 ]
             except OverflowError as exc:
-                raise CaseBaseFormatError(f"case base weight of {term!r} is too large to recover its tf") from exc
+                raise _unrecoverable_tf(term) from exc
             entry = self._entries[term] = (term_ordinals, contributions)
         return entry
 
@@ -105,7 +110,7 @@ class InvertedIndex:
         try:
             return [max(1, round(descriptions[o][term] / selection)) for o in self.term_ordinals[term]]
         except OverflowError as exc:
-            raise CaseBaseFormatError(f"case base weight of {term!r} is too large to recover its tf") from exc
+            raise _unrecoverable_tf(term) from exc
 
     @cached_property
     def postings(self) -> dict[str, list[tuple[int, int]]]:
@@ -188,7 +193,10 @@ def baseline_score(q_tokens: list[str], case: Case, index: InvertedIndex) -> flo
     norm = 1.0 / math.sqrt(len(description))
     total = 0.0
     for t in matched:
-        tf = max(1, round(description[t] / selection_idf(t, index.corpus_stats)))
+        try:
+            tf = max(1, round(description[t] / selection_idf(t, index.corpus_stats)))
+        except OverflowError as exc:
+            raise _unrecoverable_tf(t) from exc
         total += tf * index.idf(t) ** 2 * norm
     return coord * total
 

@@ -15,7 +15,9 @@ segmentation rules matter:
   duplicate-sentence elimination does not merge a heading into its body text.
 - Markup is repaired permissively: unclosed elements are closed at end of
   input, a new segmenting element closes an open ``<p>``, and stray end tags
-  are ignored. The only hard failure is an undecodable byte stream.
+  are ignored. The hard failures are an empty or undecodable byte stream and
+  a construct the stdlib parser rejects, such as ``<![foo[``; each raises
+  ``ParseError``, which a build logs as a skipped page.
 - ``script``/``style``/``head`` content is invisible and never extracted.
 
 Each text node is counted as the walk appends it to its block: the block's
@@ -193,11 +195,15 @@ def segment_blocks(doc: RawDocument) -> list[Block]:
 
     Stray text outside every ``table``/``p``/``div`` becomes a trailing
     synthetic block; a tag-free document therefore yields exactly one block.
-    Elements without directly contained text produce no block.
+    Elements without directly contained text produce no block. Markup the
+    stdlib parser gives up on (``<![foo[``, ``<![ ``) raises ``ParseError``.
     """
     walker = _BlockWalker()
-    walker.feed(doc.markup)
-    walker.close()
+    try:
+        walker.feed(doc.markup)
+        walker.close()
+    except AssertionError as exc:  # how html.parser and _markupbase reject a construct
+        raise ParseError(f"{doc.doc_id}: markup the HTML parser rejects ({exc})") from exc
     return [
         Block(acc.counts[True], acc.counts[False], tuple(acc.segments))
         for acc in (*walker.accumulators, walker.synthetic)

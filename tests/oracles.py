@@ -19,6 +19,7 @@ from affret import (
     CaseBaseBuildError,
     DimensionError,
     InputError,
+    ParseError,
     normalize_av,
     round12,
     selection_idf,
@@ -135,10 +136,14 @@ def segment_blocks(markup: str) -> list[Block]:
     Every text node's block is found by scanning the tag stack; after the
     walk each accumulator is asked whether it holds visible text, and the
     kept ones have their linked and unlinked characters counted separately.
+    A construct the parser rejects raises ``ParseError``.
     """
     walker = _BlockWalker()
-    walker.feed(markup)
-    walker.close()
+    try:
+        walker.feed(markup)
+        walker.close()
+    except AssertionError as exc:
+        raise ParseError(f"markup the HTML parser rejects ({exc})") from exc
     ordered = [acc for acc in walker.accumulators if acc.has_text()]
     if walker.synthetic.has_text():
         ordered.append(walker.synthetic)
@@ -353,6 +358,33 @@ def save_case_base(cb, path) -> None:
             }
         )
     )
+    Path(path).write_text("".join(lines), encoding="utf-8")
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
+def save_case_base_as_held(cb, path) -> None:
+    """Reference ``casebase.save_case_base``: the encoder writes each record whole, every value as held."""
+    encode = _ENCODER.encode
+    header = {
+        "config": asdict(cb.config),
+        "lexicon_fingerprint": cb.lexicon.fingerprint(),
+        "m": cb.lexicon.m,
+        "N": cb.corpus_stats.n_cases,
+    }
+    lines = [encode(header) + "\n"]
+    for case in cb.cases:
+        record = {
+            "av": case.av,
+            "av_revised": case.av_revised,
+            "doc_id": case.doc_id,
+            "prob_desc": sorted(case.prob_desc.items()),
+        }
+        lines.append(encode(record) + "\n")
+    lines.append(encode({"corpus_stats": {"df": cb.corpus_stats.df, "N": cb.corpus_stats.n_cases}}) + "\n")
+    topics = [{"name": t.name, "terms": sorted(t.terms), "miscellaneous": t.miscellaneous} for t in cb.lexicon.topics]
+    lines.append(encode({"lexicon": {"topics": topics}}) + "\n")
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 

@@ -251,6 +251,12 @@ class TestBuildCase:
         markup = '<p><a href="/">home</a></p><div><a href="/x">more links</a></div>'
         assert build_case(doc(markup), lexicon3, BuildConfig(), stats) is None
 
+    def test_markup_the_parser_rejects_is_a_parse_error(self, lexicon3):
+        # the error populate_case_base logs as a skipped page
+        stats = CorpusStats(df={}, n_cases=1)
+        with pytest.raises(ParseError, match="markup the HTML parser rejects"):
+            build_case(doc("<p>beach<![foo[ x ]]> sand</p>"), lexicon3, BuildConfig(), stats)
+
     def test_repeated_topic_term_counts_with_multiplicity(self, lexicon3):
         stats = CorpusStats(df={}, n_cases=1)
         case = build_case(doc("<p>beach beach</p>"), lexicon3, BuildConfig(), stats)
@@ -655,6 +661,32 @@ class TestSaveMatchesOracle:
         new, reference = tmp_path / "new.jsonl", tmp_path / "reference.jsonl"
         save_case_base(cb, new)
         oracles.save_case_base(cb, reference)
+        assert new.read_bytes() == reference.read_bytes()
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_equal_the_whole_record_writer(self, built_bases, tmp_path, data):
+        built = built_bases[data.draw(st.sampled_from(sorted(built_bases)), label="base")]
+        cases = copied_cases(built)
+        cb = CaseBase(cases=cases, corpus_stats=built.corpus_stats, lexicon=built.lexicon, config=built.config)
+        # weights a library caller can hold and no build computes, all in one save: equal keys
+        # with different texts (-0.0 and 0.0; 1, True and 1.0), nan, infinities, the extremes
+        held = [-0.0, 0.0, 1, True, math.nan, math.inf, -math.inf, 5e-324, 1.7e308, *FOREIGN_DIGITS]
+        terms = data.draw(st.lists(escaped_text, min_size=len(held) + 1, max_size=len(held) + 1, unique=True))
+        at = data.draw(st.lists(st.integers(0, len(cases) - 1), min_size=len(held), max_size=len(held)), label="cases")
+        for term, value, i in zip(terms, held, at):
+            cases[i].prob_desc[term] = value
+        # a float 1.0 in another case than the int 1 (held[2])
+        other = (at[2] + data.draw(st.integers(1, len(cases) - 1), label="other")) % len(cases)
+        cases[other].prob_desc[terms[-1]] = 1.0
+        for _ in range(data.draw(st.integers(0, 3), label="escaped")):
+            cases[data.draw(st.integers(0, len(cases) - 1))].doc_id = data.draw(escaped_text)
+        if data.draw(st.booleans(), label="reversed"):
+            for case in cases:
+                case.prob_desc = dict(reversed(case.prob_desc.items()))
+        new, reference = tmp_path / "new.jsonl", tmp_path / "reference.jsonl"
+        save_case_base(cb, new)
+        oracles.save_case_base_as_held(cb, reference)
         assert new.read_bytes() == reference.read_bytes()
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import re
 
 import pytest
@@ -117,6 +118,21 @@ class TestBuild:
         assert main(build_args(workspace, stopwords=workspace / "stops.txt")) == 0
         content = (workspace / "cb.jsonl").read_text(encoding="utf-8")
         assert '"beach"' not in content.split("\n")[1]
+
+    def test_page_the_parser_rejects_is_a_logged_skip(self, tmp_path, caplog):
+        good = {"a.html": "<p>beach sand beach all day</p>"}
+        alone, marked = tmp_path / "alone", tmp_path / "marked"
+        for ws, pages in ((alone, good), (marked, {**good, "b.html": "<p>temple<![foo[ x ]]> shrine</p>"})):
+            write_corpus(ws / "corpus", pages)
+            (ws / "lexicon.tsv").write_text(LEXICON, encoding="utf-8")
+        assert main(build_args(alone)) == 0
+        with caplog.at_level(logging.WARNING, logger="affret"):
+            assert main(build_args(marked)) == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping b.html: b.html: markup the HTML parser rejects (unknown status keyword 'foo' in marked section)"
+        ]
+        # the skipped page adds no df and no case, so the other page's case keeps its bytes
+        assert (marked / "cb.jsonl").read_bytes() == (alone / "cb.jsonl").read_bytes()
 
 
 class TestQuery:

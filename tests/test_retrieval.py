@@ -103,6 +103,7 @@ class TestBuildIndex:
             "query": lambda index: retrieve_top_k(["beach"], index, loaded, 1),
             "postings": lambda index: index.postings,
             "case_tfs": lambda index: index.case_tfs,
+            "baseline_score": lambda index: baseline_score(["beach"], loaded.cases[0], index),
         }
         for view in views.values():
             with pytest.raises(CaseBaseFormatError, match="weight of 'beach' is too large to recover its tf"):
