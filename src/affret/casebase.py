@@ -35,6 +35,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii as quote
 from operator import neg
 from pathlib import Path
@@ -262,7 +263,8 @@ def populate_case_base(
         try:
             description = _describe(parse_document(path.read_bytes(), doc_id), lexicon, config.tau, stop_words)
         except ParseError as exc:
-            logger.warning("skipping %s: %s", doc_id, exc)
+            # each ParseError names the page first; the log line names it once
+            logger.warning("skipping %s: %s", doc_id, str(exc).removeprefix(f"{doc_id}: "))
             continue
         if description is not None:
             df.update(description[0].keys())
@@ -391,8 +393,9 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
             "".join(terms)  # rejects a term that is not a string
             topics.append(Topic(name=name, terms=frozenset(terms), miscellaneous=miscellaneous))
         embedded = Lexicon(topics=topics)
+        # encodes every topic name and term as UTF-8, which a lone surrogate fails
         embedded_fingerprint = embedded.fingerprint()
-    except (KeyError, TypeError, LexiconFormatError) as exc:
+    except (KeyError, TypeError, LexiconFormatError, UnicodeEncodeError) as exc:
         raise CaseBaseFormatError(f"{path}: malformed lexicon at line {last} ({exc})") from exc
 
     cases: list[Case] = []
@@ -439,6 +442,16 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
                 f"{path}: duplicate doc_id {case.doc_id!r} at lines {first} and {lineno}"
             )
         cases.append(case)
+
+    # a JSON "\udce9" escape loads as a lone surrogate, which no report can
+    # write as UTF-8; one encode of the joined ids checks every case
+    try:
+        "".join(case_lines).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # the line of the id holding the character the encode stopped at
+        ends = accumulate(map(len, case_lines))
+        lineno = next(n for n, end in zip(case_lines.values(), ends) if end > exc.start)
+        raise CaseBaseFormatError(f"{path}: doc_id at line {lineno} is not UTF-8 ({exc.reason})") from exc
 
     if embedded.m != m:
         raise CaseBaseFormatError(f"{path}: embedded lexicon dimension {embedded.m} != header m {m}")

@@ -45,7 +45,6 @@ VOID_TAGS = {"br", "hr", "img", "input", "meta", "link", "area", "base", "col", 
 # until whitespace collapsing turns it into a single "\n".
 BREAK_MARK = ""
 
-_BREAK_RUN = re.compile(f" ?(?:{BREAK_MARK} ?)+")
 _TOKEN = re.compile(r"[^\W_]+")
 _SENTENCE_SPLIT = re.compile(r"([.!?]|\n)")
 
@@ -78,10 +77,18 @@ class Block:
 def parse_document(raw: bytes, doc_id: str) -> RawDocument:
     """Decode raw bytes into a document; rejects empty or undecodable input.
 
+    A ``doc_id`` that does not encode as UTF-8 is rejected too: a file name
+    of bytes that are not UTF-8 reads as one with lone surrogates, which no
+    report can write and ``load_case_base`` refuses.
+
     Numeric character references (hex or decimal) in the markup are decoded
     to their code points during segmentation, so multilingual content stored
     as character references survives extraction.
     """
+    try:
+        doc_id.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"{doc_id}: name is not UTF-8 ({exc})") from exc
     if not raw:
         raise ParseError(f"{doc_id}: empty document")
     try:
@@ -183,11 +190,14 @@ class _BlockWalker(HTMLParser):
 
 
 def _render(segments, include_linked: bool) -> str:
-    parts = [text for text, linked in segments if include_linked or not linked]
-    # one blank per whitespace run; the blank this drops at either end
-    # would be stripped below anyway
-    joined = " ".join("".join(parts).split())
-    return _BREAK_RUN.sub("\n", joined).strip(" \n")
+    """The kept segments' text: one blank per whitespace run, one ``"\\n"`` per run of break marks.
+
+    Pieces between break marks are collapsed on their own and joined by
+    ``"\\n"``; a piece of whitespace alone drops out, so the blanks around a
+    break and a break at either end leave nothing behind.
+    """
+    joined = "".join([text for text, linked in segments if include_linked or not linked])
+    return "\n".join(filter(None, [" ".join(piece.split()) for piece in joined.split(BREAK_MARK)]))
 
 
 def segment_blocks(doc: RawDocument) -> list[Block]:
@@ -320,5 +330,17 @@ def dedupe_sentences(text: str) -> str:
 
 
 def tokenize(text: str, stop_words: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
-    """Case-folded, punctuation-free tokens in document order, stop words removed."""
-    return [t for t in _TOKEN.findall(text.casefold()) if t not in stop_words]
+    """Case-folded, punctuation-free tokens in document order, stop words removed.
+
+    A token is a maximal run of ``str.isalnum`` characters, the class regex
+    ``[^\\W_]`` matches. No whitespace character is alphanumeric, so each
+    whitespace-delimited piece is tokenized on its own, and one that is
+    alphanumeric throughout is a token as it stands.
+    """
+    tokens = []
+    for piece in text.casefold().split():
+        if piece.isalnum():
+            tokens.append(piece)
+        else:
+            tokens += _TOKEN.findall(piece)
+    return [t for t in tokens if t not in stop_words]

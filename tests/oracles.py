@@ -31,9 +31,11 @@ from affret.segmenter import (
     SEGMENT_TAGS,
     VOID_TAGS,
 )
+from affret.stopwords import DEFAULT_STOPWORDS
 
 _WS_RUN = re.compile(r"\s+")
 _BREAK_RUN = re.compile(f" ?(?:{BREAK_MARK} ?)+")
+_TOKEN = re.compile(r"[^\W_]+")
 
 
 class _Accumulator:
@@ -128,6 +130,11 @@ def render(segments, include_linked: bool) -> str:
             parts.append(text)
     joined = _WS_RUN.sub(" ", "".join(parts))
     return _BREAK_RUN.sub("\n", joined).strip(" \n")
+
+
+def tokenize(text: str, stop_words: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
+    """Reference ``segmenter.tokenize``: one regex scan for word-character runs, underscore excluded."""
+    return [t for t in _TOKEN.findall(text.casefold()) if t not in stop_words]
 
 
 def segment_blocks(markup: str) -> list[Block]:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -129,10 +131,30 @@ class TestBuild:
         with caplog.at_level(logging.WARNING, logger="affret"):
             assert main(build_args(marked)) == 0
         assert [r.getMessage() for r in caplog.records] == [
-            "skipping b.html: b.html: markup the HTML parser rejects (unknown status keyword 'foo' in marked section)"
+            "skipping b.html: markup the HTML parser rejects (unknown status keyword 'foo' in marked section)"
         ]
         # the skipped page adds no df and no case, so the other page's case keeps its bytes
         assert (marked / "cb.jsonl").read_bytes() == (alone / "cb.jsonl").read_bytes()
+
+    def test_file_name_that_is_not_utf8_is_a_logged_skip(self, tmp_path, caplog):
+        page = "<p>beach sand beach all day</p>"
+        alone, named = tmp_path / "alone", tmp_path / "named"
+        for ws in (alone, named):
+            write_corpus(ws / "corpus", {"a.html": page})
+            (ws / "lexicon.tsv").write_text(LEXICON, encoding="utf-8")
+        name = os.fsdecode(b"caf\xe9.html")
+        if name != "caf\udce9.html":
+            pytest.skip(f"file names decode as {sys.getfilesystemencoding()}, not as UTF-8")
+        try:
+            (named / "corpus" / name).write_text(page, encoding="utf-8")
+        except OSError as exc:
+            pytest.skip(f"the file system refuses a file name that is not UTF-8 ({exc})")
+        assert main(build_args(alone)) == 0
+        with caplog.at_level(logging.WARNING, logger="affret"):
+            assert main(build_args(named)) == 0
+        (message,) = [r.getMessage() for r in caplog.records]
+        assert message.startswith("skipping caf\udce9.html: name is not UTF-8 (")
+        assert (named / "cb.jsonl").read_bytes() == (alone / "cb.jsonl").read_bytes()
 
 
 class TestQuery:
@@ -289,6 +311,15 @@ def _list_doc_id(records):
     records[1]["doc_id"] = ["a.html"]
 
 
+def _surrogate_doc_id(records):
+    # json.dumps writes it as the escape "\\udce9", which loads as a lone surrogate
+    records[2]["doc_id"] = "caf\udce9.html"
+
+
+def _surrogate_lexicon_term(records):
+    records[-1]["lexicon"]["topics"][0]["terms"].append("caf\udce9")
+
+
 def _empty_prob_desc(records):
     records[1]["prob_desc"] = []
 
@@ -387,6 +418,7 @@ class TestMalformedCaseBase:
             (_list_df, "malformed corpus_stats at line 5"),
             (_nameless_topic, "malformed lexicon at line 6"),
             (_list_doc_id, "doc_id at line 2 is not a string"),
+            (_surrogate_doc_id, "doc_id at line 3 is not UTF-8 (surrogates not allowed)"),
             (_set_header("m", "3"), "header m must be an integer, got '3'"),
             (_set_header("m", 3.0), "header m must be an integer, got 3.0"),
             (_set_header("m", True), "header m must be an integer, got True"),
@@ -420,14 +452,15 @@ class TestMalformedCaseBase:
             (_set_topic(0, "name", 7), f"malformed lexicon at line 6 ({TOPIC_TYPES})"),
             (_set_topic(0, "terms", "beach"), f"malformed lexicon at line 6 ({TOPIC_TYPES})"),
             (_set_topic(-1, "miscellaneous", 1), f"malformed lexicon at line 6 ({TOPIC_TYPES})"),
+            (_surrogate_lexicon_term, "malformed lexicon at line 6 ('utf-8' codec can't encode character '\\udce9'"),
         ],
         ids=[
-            "no-df", "list-df", "nameless-topic", "list-doc-id", "m-str", "m-float", "m-bool", "N-str", "N-null",
+            "no-df", "list-df", "nameless-topic", "list-doc-id", "surrogate-doc-id", "m-str", "m-float", "m-bool", "N-str", "N-null",
             "N-mismatch", "empty-prob-desc", "N-zero", "df-negative", "df-above-N", "N-too-large",
             "av-int-too-large", "av-revised-int-too-large", "weight-int-too-large", "int-term",
             "all-int-too-large", "av-digit-string", "av-object", "prob-desc-object", "weight-underscore-string",
             "weight-true", "df-float", "stats-N-str", "stats-among-cases", "case-after-lexicon", "no-stats",
-            "k-terms-float", "topic-name-int", "topic-terms-str", "topic-miscellaneous-int",
+            "k-terms-float", "topic-name-int", "topic-terms-str", "topic-miscellaneous-int", "surrogate-lexicon-term",
         ],
     )
     def test_malformed_record_is_a_format_error(self, workspace, capsys, edit, message):

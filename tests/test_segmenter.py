@@ -56,6 +56,11 @@ class TestParseDocument:
         with pytest.raises(ParseError, match="bad-doc"):
             parse_document(b"\xff\xfe\xfa", "bad-doc")
 
+    def test_name_that_is_not_utf8_is_rejected(self):
+        # how a file named by the bytes caf\xe9.html reads on a UTF-8 file system
+        with pytest.raises(ParseError, match="^caf\udce9.html: name is not UTF-8 \\("):
+            parse_document(b"<p>x</p>", "caf\udce9.html")
+
 
     @pytest.mark.parametrize("markup", ["<p>x<![foo[ y ]]> z", "<p>x<![a]>", "<p>x<![ ", "<p>x<![1"])
     def test_markup_the_parser_rejects_names_the_document(self, markup):
@@ -226,10 +231,8 @@ class TestCollapseRepeatedPhrases:
 
 # whitespace that regex \s and str.split agree on, beside text and boundary marks;
 # the walker records every boundary mark unlinked
-_RENDER_TEXT = st.text(
-    alphabet=st.sampled_from(["a", "ß", " ", "\n", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003", "\u3000"]),
-    max_size=6,
-)
+_WHITESPACE = [" ", "\n", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003", "\u3000"]
+_RENDER_TEXT = st.text(alphabet=st.sampled_from(["a", "ß", *_WHITESPACE]), max_size=6)
 _RENDER_SEGMENT = st.one_of(
     st.tuples(_RENDER_TEXT, st.booleans()),
     st.just((BREAK_MARK, False)),
@@ -241,6 +244,8 @@ class TestRenderMatchesReference:
     @settings(max_examples=1000, deadline=None)
     @example([(" ", False), (BREAK_MARK, False), (BREAK_MARK, False), ("a ", True), (" ", False)], True)
     @example([("\xa0a", False), (BREAK_MARK, False), ("\u3000", True)], False)
+    @example([("a", False), (BREAK_MARK, False), ("b", True)], True)  # a mark glued to text on both sides
+    @example([(" ", False), (BREAK_MARK, False), ("\t", True), (BREAK_MARK, False), (BREAK_MARK, False)], True)
     def test_matches_reference(self, segments, include_linked):
         assert _render(segments, include_linked) == oracles.render(segments, include_linked)
 
@@ -264,6 +269,31 @@ class TestTokenize:
     def test_default_stop_words_are_whole_tokens(self):
         # an entry that tokenizes to anything else can never equal a token
         assert sorted(w for w in DEFAULT_STOPWORDS if _TOKEN.findall(w) != [w]) == []
+
+    def test_token_characters_are_the_isalnum_ones_on_every_code_point(self):
+        # tokenize keeps a whitespace-delimited piece whole when it is isalnum
+        # throughout, and scans the others with [^\W_]; that is one scan of the
+        # whole text only because the class is exactly str.isalnum and holds
+        # no str.isspace character
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        alnum = [ch for ch in text if ch.isalnum()]
+        assert re.findall(r"[^\W_]", text) == alnum
+        assert not any(ch.isspace() for ch in alnum)
+
+    # letters, digits, the underscore, characters whose case folding grows
+    # (ß, İ), a digit that is not decimal (²), a combining mark,
+    # punctuation and boundary marks, beside every whitespace that render sees
+    @given(
+        st.text(
+            alphabet=st.sampled_from(["a", "Q", "7", "_", "ß", "İ", "\u0301", "²", ".", "-", "'", BREAK_MARK, *_WHITESPACE]),
+            max_size=24,
+        ),
+        st.sampled_from([DEFAULT_STOPWORDS, frozenset(), frozenset({"a", "ss", "7", "q²"})]),
+    )
+    @settings(max_examples=1000, deadline=None)
+    @example("İ goa_beach ß²", DEFAULT_STOPWORDS)
+    def test_matches_reference(self, text, stop_words):
+        assert tokenize(text, stop_words) == oracles.tokenize(text, stop_words)
 
 
 class _VisibleCounter:
