@@ -7,8 +7,9 @@ document frequencies exist before term selection; pass order is sorted by
 doc_id, which makes rebuilds bit-identical. Pass 1 keeps each page's per-term
 max tf, block term counts and affordance vector, not its tokens. Pass 2 takes
 one selection idf per distinct document frequency and one rounding per
-distinct weight, both over the whole build, and keeps a block of at most k
-distinct terms whole without ranking it.
+distinct weight, both kept by the corpus stats, so the build and every later
+``build_case`` against the same stats share them; it keeps a block of at most
+k distinct terms whole without ranking it.
 
 Persistence is line-delimited JSON with sorted keys. affret quantizes every
 float it computes to 12 significant digits *at construction time*: term
@@ -19,7 +20,8 @@ held values exactly, so the in-memory case base and its file round-trip
 losslessly and rebuilds compare byte-for-byte. Load reads only the layout
 save writes and keeps each value as decoded, so a case base that affret did
 not write keeps whatever digits its values carry, and an integer stays an
-integer, until feedback moves them; a value of the wrong type is rejected.
+integer, until feedback moves them; a value of the wrong type is rejected,
+and so is a description weight too large to recover its tf from.
 Save converts each distinct description weight to its JSON text once per
 call and splices each case line from those texts; the bytes stay the ones
 that encoding each record whole writes.
@@ -32,10 +34,10 @@ import logging
 import math
 import sys
 from collections import Counter
-from collections.abc import Iterator
-from dataclasses import asdict, dataclass
-from functools import cached_property
-from itertools import accumulate
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
+from functools import cached_property, partial
+from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii as quote
 from operator import neg
 from pathlib import Path
@@ -84,10 +86,43 @@ class BuildConfig:
         check_unit_dial("eta", self.eta)
 
 
-@dataclass
+def _idf_of_df(df: int, n_cases: int) -> float:
+    """The selection idf of a document frequency over ``n_cases``: ``selection_idf`` and the stats' idf table."""
+    return math.log(1.0 + n_cases / (1.0 + df))
+
+
+class _Memo(dict):
+    """key -> ``compute(key)``, each computed on its first lookup."""
+
+    def __init__(self, compute: Callable):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+@dataclass(frozen=True)
 class CorpusStats:
+    """Document frequencies over the ``n_cases`` cases of a build.
+
+    It also holds pass 2's memos, shared by every ``_cases`` call against it:
+    the selection idf of each df and the ``round12`` of each weight. An idf
+    depends only on its df and ``n_cases``, and a rounding only on its
+    weight, so both stay valid for the object's life: it is frozen, so
+    ``n_cases`` cannot change under the idf table. ``df`` must not be mutated
+    in place either, since the cases' weights were built from it and tf is
+    recovered through it; build a new object instead.
+    """
+
     df: dict[str, int]
     n_cases: int
+    _idf_by_df: _Memo = field(init=False, repr=False, compare=False)
+    _rounded: _Memo = field(default_factory=lambda: _Memo(round12), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_idf_by_df", _Memo(partial(_idf_of_df, n_cases=self.n_cases)))
 
 
 @dataclass
@@ -115,15 +150,7 @@ class CaseBase:
 
 def selection_idf(term: str, stats: CorpusStats) -> float:
     """Smoothed idf used for discriminative-term selection."""
-    return math.log(1.0 + stats.n_cases / (1.0 + stats.df.get(term, 0)))
-
-
-def _rounded_once(weights: list[float], rounded: dict[float, float]) -> Iterator[float]:
-    """``round12`` of each weight, through ``rounded``, the memo that rounds each distinct weight once."""
-    for weight in weights:
-        if weight not in rounded:
-            rounded[weight] = round12(weight)
-    return map(rounded.__getitem__, weights)
+    return _idf_of_df(stats.df.get(term, 0), stats.n_cases)
 
 
 def select_top_k_terms(
@@ -133,16 +160,17 @@ def select_top_k_terms(
 
     ``tf`` holds the block's term counts and ``idf`` the selection idf of each
     of its terms; fewer than k distinct terms returns them all. A term's
-    weight is ``round12(count * idf)``, rounded through ``_rounded``, a memo
-    of ``round12`` by weight. The build ranks only blocks of more than k
-    distinct terms and passes one memo for all its blocks.
+    weight is ``round12(count * idf)``, read from ``_rounded``, a memo that
+    rounds each weight on its first lookup (a corpus stats' memo). The build
+    ranks only blocks of more than k distinct terms and passes one memo for
+    all its blocks.
     """
     if type(k) is not int:
         raise InputError("k must be an integer")
     if k < 1:
         raise InputError("k must be >= 1")
-    weights = [count * idf[term] for term, count in tf.items()]
-    values = _rounded_once(weights, {} if _rounded is None else _rounded)
+    rounded = _Memo(round12) if _rounded is None else _rounded
+    values = map(rounded.__getitem__, [count * idf[term] for term, count in tf.items()])
     ranked = sorted(zip(map(neg, values), tf))
     return [(term, -value) for value, term in ranked[:k]]
 
@@ -181,21 +209,18 @@ def _cases(
     """Pass 2: each described page's case, whose description is the union of its blocks' top-k terms.
 
     A term's idf depends only on its df, and a weight's rounding only on the
-    weight, so each is computed once per distinct df and weight over all the
-    pages of one call. A weight is ``count * idf`` with count >= 1 and an idf
-    from ``math.log``, which never returns -0.0, so no weight is -0.0 and no
-    two distinct weights (0.0 and -0.0 would) share a memo key.
+    weight, so each is computed once per distinct df and weight through the
+    memos ``stats`` holds, shared by every call against the same stats: the
+    build's one call and each later ``build_case``. A weight is
+    ``count * idf`` with count >= 1 and an idf from ``math.log``, which never
+    returns -0.0, so no weight is -0.0 and no two distinct weights (0.0 and
+    -0.0 would) share a memo key.
     """
-    df = stats.df
-    idf_by_df: dict[int, float] = {}
-    rounded: dict[float, float] = {}
+    df, idf_by_df, rounded = stats.df, stats._idf_by_df, stats._rounded
     cases = []
     for doc_id, max_tf, block_tfs, av in described:
-        idf = {}
-        for term in max_tf:
-            if (value := idf_by_df.get(term_df := df.get(term, 0))) is None:
-                value = idf_by_df[term_df] = selection_idf(term, stats)
-            idf[term] = value
+        # a term absent from df has df 0
+        idf = dict(zip(max_tf, map(idf_by_df.__getitem__, map(df.get, max_tf, repeat(0)))))
         selected = set()
         for tf in block_tfs:
             # select_top_k_terms keeps every term of such a block
@@ -204,7 +229,7 @@ def _cases(
             else:
                 selected.update(term for term, _ in select_top_k_terms(tf, idf, k, rounded))
         terms = sorted(selected)
-        prob_desc = dict(zip(terms, _rounded_once([max_tf[term] * idf[term] for term in terms], rounded)))
+        prob_desc = dict(zip(terms, map(rounded.__getitem__, [max_tf[term] * idf[term] for term in terms])))
         cases.append(Case(doc_id=doc_id, prob_desc=prob_desc, av=av, av_revised=list(av)))
     return cases
 
@@ -218,7 +243,10 @@ def build_case(
 ) -> Case | None:
     """Build one case, or None when every block filters out as noise.
 
-    Raises ``ParseError`` for markup the parser rejects, the page a build skips.
+    Selection reads and fills the idf and rounding memos of ``corpus_stats``,
+    so pages built against the build's own stats reuse what the build
+    computed. Raises ``ParseError`` for markup the parser rejects, the page a
+    build skips.
     """
     description = _describe(doc, lexicon, config.tau, stop_words)
     return None if description is None else _cases([(doc.doc_id, *description)], config.k_terms, corpus_stats)[0]
@@ -418,7 +446,8 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
             # one C-level join rejects a term that is not a string, and a sum
             # from 0.0 a value that is not a number or is too large for a float
             "".join(case.prob_desc)
-            total = sum(case.prob_desc.values(), sum(case.av, sum(case.av_revised, 0.0)))
+            weight_total = sum(case.prob_desc.values(), 0.0)
+            total = sum(case.av, sum(case.av_revised, weight_total))
             # the sum takes a bool as a number; only a line that spells one is searched
             if "true" in line or "false" in line:
                 if any(type(v) is bool for v in (*case.prob_desc.values(), *case.av, *case.av_revised)):
@@ -436,6 +465,10 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
         # is checked value by value
         if not math.isfinite(total):
             _reject_non_finite(case, path, lineno)
+        # the sum of weights none of which is negative bounds each of them;
+        # a line that holds no "-" holds no negative number
+        if weight_total > _RECOVERABLE_WEIGHT or ("-" in line and min(case.prob_desc.values()) < 0):
+            _reject_unrecoverable_tf(case, stats, path, lineno)
         first = case_lines.setdefault(case.doc_id, lineno)
         if first != lineno:
             raise CaseBaseFormatError(
@@ -490,6 +523,20 @@ def _reject_non_finite(case: Case, path: str | Path, lineno: int) -> None:
     for name, values in (("prob_desc", case.prob_desc.values()), ("av", case.av), ("av_revised", case.av_revised)):
         if not all(map(math.isfinite, values)):
             raise CaseBaseFormatError(f"{path}: case {case.doc_id!r} at line {lineno} has a non-finite {name} value")
+
+
+# A tf is recovered as round(weight / selection idf), which overflows once
+# the quotient is inf. Load accepts only N >= 1 and df <= N, so every
+# selection idf is at least log(1.5), and no weight up to this bound, which
+# is below log(1.5) times the float maximum, can overflow.
+_RECOVERABLE_WEIGHT = 7e307
+
+
+def _reject_unrecoverable_tf(case: Case, stats: CorpusStats, path: str | Path, lineno: int) -> None:
+    """Raise ``CaseBaseFormatError`` if a weight of the case, divided by its term's selection idf, is infinite."""
+    for term, weight in case.prob_desc.items():
+        if math.isinf(weight / selection_idf(term, stats)):
+            raise CaseBaseFormatError(f"{path}: line {lineno}: case base weight of {term!r} is too large to recover its tf")
 
 
 def revise_case_affordance(case: Case, query_av: AffordanceVector, eta: float) -> Case:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -186,6 +187,20 @@ def corpus_stats(draw) -> CorpusStats:
     return CorpusStats(df=df, n_cases=n)
 
 
+@st.composite
+def described_pages(draw, k: int) -> list[tuple[str, dict[str, int], list[Counter], list[int]]]:
+    """1-8 pages as pass 1 describes them: doc id, per-term max tf, block term counts, vector."""
+    described = []
+    for n in range(draw(st.integers(1, 8), label="pages")):
+        block_tfs = draw(st.lists(blocks(k), min_size=1, max_size=5))
+        max_tf: dict[str, int] = {}
+        for tf in block_tfs:
+            for term, count in tf.items():
+                max_tf[term] = max(max_tf.get(term, 0), count)
+        described.append((f"p{n}", max_tf, block_tfs, [0]))
+    return described
+
+
 class TestSelectionMatchesOracle:
     """Pass 2's memos and small-block shortcut against every block ranked and every weight rounded on its own."""
 
@@ -193,7 +208,8 @@ class TestSelectionMatchesOracle:
     @settings(max_examples=200, deadline=None)
     def test_select_top_k_terms(self, data):
         k = data.draw(st.integers(1, 6), label="k")
-        rounded: dict[float, float] = {}
+        # one rounding memo for every block, as a corpus stats holds
+        rounded = CorpusStats(df={}, n_cases=1)._rounded
         for _ in range(data.draw(st.integers(1, 6), label="blocks")):
             tf, idf = data.draw(blocks(k)), data.draw(idf_maps())
             expected = oracles.select_top_k_terms(tf, idf, k)
@@ -205,14 +221,7 @@ class TestSelectionMatchesOracle:
     @settings(max_examples=200, deadline=None)
     def test_descriptions_over_many_pages(self, data):
         k = data.draw(st.integers(1, 6), label="k")
-        described = []
-        for n in range(data.draw(st.integers(1, 8), label="pages")):
-            block_tfs = data.draw(st.lists(blocks(k), min_size=1, max_size=5))
-            max_tf: dict[str, int] = {}
-            for tf in block_tfs:
-                for term, count in tf.items():
-                    max_tf[term] = max(max_tf.get(term, 0), count)
-            described.append((f"p{n}", max_tf, block_tfs, [0]))
+        described = data.draw(described_pages(k))
         stats = data.draw(corpus_stats())
         # the same dfs over twice the cases: other idfs for the same memo keys
         for stats in (stats, CorpusStats(df=stats.df, n_cases=2 * stats.n_cases)):
@@ -225,6 +234,34 @@ class TestSelectionMatchesOracle:
                 assert case.doc_id == doc_id
                 assert list(case.prob_desc) == list(expected)
                 assert bits(case.prob_desc.values()) == bits(expected.values())
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_memos_shared_by_single_page_calls(self, data):
+        """build_case's shape: one page per call, many calls on one stats, next to a stats over the same dfs and another N."""
+        k = data.draw(st.integers(1, 6), label="k")
+        pages = data.draw(described_pages(k))
+        # some terms are absent from df, and the two tables key the same dfs
+        stats = data.draw(corpus_stats())
+        n_other = data.draw(st.integers(1, 2 * stats.n_cases + 1).filter(lambda n: n != stats.n_cases), label="other N")
+        other = CorpusStats(df=stats.df, n_cases=n_other)
+        calls = []
+        for page in data.draw(st.lists(st.sampled_from(pages), min_size=1, max_size=8), label="call order"):
+            calls.append((page, stats))
+            if data.draw(st.booleans(), label="a call on the other stats next"):
+                calls.append((data.draw(st.sampled_from(pages)), other))
+        for page, stats_of_call in calls:
+            [case] = casebase._cases([page], k, stats_of_call)
+            expected = oracles.case_description(page[1], page[2], k, stats_of_call)
+            assert list(case.prob_desc) == list(expected)
+            assert bits(case.prob_desc.values()) == bits(expected.values())
+
+    def test_corpus_stats_is_frozen(self):
+        # a reassigned N would leave the idf table stale
+        stats = CorpusStats(df={"a": 1}, n_cases=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.n_cases = 3
+        assert stats == CorpusStats(df={"a": 1}, n_cases=2)
 
 
 def doc(markup: str, doc_id: str = "d"):
@@ -389,15 +426,18 @@ class TestBuildCaseAgreesWithPopulate:
         "anchors.html": '<p><a href="/">home</a></p><div><a href="/x">more links</a></div>',
     }
 
-    def test_each_page_alone_builds_its_case(self, make_corpus, lexicon3):
+    def test_each_page_alone_builds_its_case(self, make_corpus, lexicon3, tmp_path):
         pages = {f"fuzz{seed:02d}.html": fuzz_html(seed) for seed in range(30)} | self.PAGES
         corpus = make_corpus(pages)
         (corpus / "latin1.html").write_bytes("<p>caf\xe9 beach</p>".encode("latin-1"))
         config = BuildConfig(k_terms=2)
         cb = populate_case_base(corpus, lexicon3, config)
         stats = cb.corpus_stats
+        save_case_base(cb, tmp_path / "cb.jsonl")
+        # fresh memos over JSON-decoded dfs
+        reloaded = load_case_base(tmp_path / "cb.jsonl").corpus_stats
 
-        def alone(path):
+        def alone(path, stats):
             try:
                 document = parse_document(path.read_bytes(), path.name)
             except ParseError:
@@ -405,10 +445,13 @@ class TestBuildCaseAgreesWithPopulate:
             return build_case(document, lexicon3, config, stats)
 
         built = {case.doc_id: case for case in cb.cases}
-        for path in sorted(corpus.iterdir()):
-            case = alone(path)
+        paths = sorted(corpus.iterdir())
+        for path, stats_of_run in [(path, stats) for path in paths] + [(path, reloaded) for path in reversed(paths)]:
+            case = alone(path, stats_of_run)
             if path.name in built:
-                assert (case.prob_desc, case.av) == (built[path.name].prob_desc, built[path.name].av)
+                assert case.prob_desc == built[path.name].prob_desc
+                assert bits(case.prob_desc.values()) == bits(built[path.name].prob_desc.values())
+                assert case.av == built[path.name].av
             else:
                 assert case is None
         assert {"anchors.html", "latin1.html"}.isdisjoint(built)
@@ -547,13 +590,15 @@ class TestPersistence:
             load_case_base(path)
 
     def test_finite_values_whose_sum_overflows_accepted(self, small_case_base, tmp_path):
+        # two weights of 9e307 overflow a sum, yet over N = 3 each still
+        # divides by its selection idf (at least log(1.75)) to a finite tf
         def edit(case):
             for pair in case["prob_desc"]:
-                pair[1] = 1.7e308
+                pair[1] = 9e307
             case["av"] = case["av_revised"] = [1.7e308, 1.7e308, 0.0]
 
         loaded = load_case_base(self.edited(small_case_base, tmp_path, edit))
-        assert set(loaded.cases[0].prob_desc.values()) == {1.7e308}
+        assert set(loaded.cases[0].prob_desc.values()) == {9e307}
         assert loaded.cases[0].av == [1.7e308, 1.7e308, 0.0]
 
     def test_foreign_digits_are_carried_exactly(self, small_case_base, tmp_path):

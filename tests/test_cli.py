@@ -443,6 +443,9 @@ class TestMalformedCaseBase:
             (_set_case("prob_desc", {"beach": 1.0}), "malformed case at line 2 (prob_desc is not a list)"),
             (_set_weight("1_0.5"), "malformed case at line 2 (unsupported operand type(s) for +: 'float' and 'str')"),
             (_set_weight(True), "malformed case at line 2 (true and false are not numbers)"),
+            # over N = 3 every selection idf is below 1, so the quotient is inf
+            (_set_weight(1.7e308), "line 2: case base weight of 'beach' is too large to recover its tf"),
+            (_set_weight(-1.7e308), "line 2: case base weight of 'beach' is too large to recover its tf"),
             (_set_stats(beach=2.7), "malformed corpus_stats at line 5 (N and every df must be integers)"),
             (_set_stats(N="3"), "malformed corpus_stats at line 5 (N and every df must be integers)"),
             (_stats_among_cases, "unrecognized record at line 3"),
@@ -459,7 +462,7 @@ class TestMalformedCaseBase:
             "N-mismatch", "empty-prob-desc", "N-zero", "df-negative", "df-above-N", "N-too-large",
             "av-int-too-large", "av-revised-int-too-large", "weight-int-too-large", "int-term",
             "all-int-too-large", "av-digit-string", "av-object", "prob-desc-object", "weight-underscore-string",
-            "weight-true", "df-float", "stats-N-str", "stats-among-cases", "case-after-lexicon", "no-stats",
+            "weight-true", "weight-too-large", "weight-too-negative", "df-float", "stats-N-str", "stats-among-cases", "case-after-lexicon", "no-stats",
             "k-terms-float", "topic-name-int", "topic-terms-str", "topic-miscellaneous-int", "surrogate-lexicon-term",
         ],
     )

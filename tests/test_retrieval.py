@@ -97,17 +97,19 @@ class TestBuildIndex:
             lexicon=MISC_ONLY,
             config=BuildConfig(),
         )
-        save_case_base(cb, tmp_path / "cb.jsonl")
-        loaded = load_case_base(tmp_path / "cb.jsonl")
         views = {
-            "query": lambda index: retrieve_top_k(["beach"], index, loaded, 1),
+            "query": lambda index: retrieve_top_k(["beach"], index, cb, 1),
             "postings": lambda index: index.postings,
             "case_tfs": lambda index: index.case_tfs,
-            "baseline_score": lambda index: baseline_score(["beach"], loaded.cases[0], index),
+            "baseline_score": lambda index: baseline_score(["beach"], cb.cases[0], index),
         }
         for view in views.values():
             with pytest.raises(CaseBaseFormatError, match="weight of 'beach' is too large to recover its tf"):
-                view(build_index(loaded))
+                view(build_index(cb))
+        # load refuses the saved base, so only an in-memory one reaches the views
+        save_case_base(cb, tmp_path / "cb.jsonl")
+        with pytest.raises(CaseBaseFormatError, match="line 2: case base weight of 'beach' is too large to recover its tf"):
+            load_case_base(tmp_path / "cb.jsonl")
 
     def test_description_insertion_order_is_irrelevant(self, small_case_base):
         shuffled = CaseBase(
