@@ -376,7 +376,9 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
     def parse_line(line: str, lineno: int) -> dict:
         try:
             record = json.loads(line)
-        except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
+        # a JSONDecodeError, an integer past Python's digit limit, or arrays
+        # and objects nested deeper than the decoder's recursion limit
+        except (ValueError, RecursionError) as exc:
             raise CaseBaseFormatError(f"{path}: line {lineno} is not valid JSON ({exc})") from exc
         if not isinstance(record, dict):
             raise CaseBaseFormatError(f"{path}: line {lineno} is not an object")

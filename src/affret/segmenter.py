@@ -24,6 +24,44 @@ Each text node is counted as the walk appends it to its block: the block's
 visible (non-whitespace) characters inside and outside anchor elements. A
 block is kept when those counts are not both zero, and the link-to-text ratio
 built from them is the noise signal used to drop navigational blocks.
+
+The walk reads well-formed markup itself and hands the rest of a page to the
+stdlib ``html.parser``. Each construct of its subset costs one compiled regex
+match (a start tag with attributes two more, to check and decode them), and
+the walk calls the handlers ``HTMLParser.feed`` would call, with the same
+arguments, in the same text chunks and order. The subset is the part of the
+HTML tokenizer that every supported ``html.parser`` reads alike, before and
+after the 2025 rework (CVE-2025-6069) that moved it toward the WHATWG rules:
+
+- Start tags: an ASCII name, then attributes, each after whitespace from
+  ``[ \\t\\n\\r\\f]``, then an optional ``/`` and ``>``; ``/>`` calls
+  ``handle_startendtag``. Between attributes older parsers also take ``\\v``
+  and non-ASCII whitespace for whitespace and newer ones do not; after the
+  name neither does (``<div\\xa0class=x>`` is one tag name). An attribute
+  name is name characters (ASCII letters and digits, ``-.:_``). Its value is
+  quoted with no ``<``, ``>`` or ``&`` inside, since older and newer parsers
+  decode references in values by different rules, or is bare name
+  characters followed by whitespace or ``>``, so that ``href=x/>`` is never
+  read as a self-closing tag.
+- End tags: exactly ``</name>``. Older parsers allow blanks around the
+  name; newer ones read ``</ div>`` as a bogus comment.
+- Text: a run without ``<``, through ``html.unescape``.
+- ``<!DOCTYPE ...>`` with no ``<`` or ``>`` inside, and comments whose body
+  holds no ``-``, ``<`` or ``>``: newer parsers also end a comment at
+  ``--!>`` and read ``<!-->`` as an empty one. Real pages open with a
+  doctype, so without it the walk would hand off at their first byte.
+- ``script`` and ``style``, raw text to every parser, and ``title``,
+  ``textarea``, ``xmp``, ``iframe``, ``noembed``, ``noframes`` and
+  ``noscript``, raw text (or text with decoded references) to newer ones:
+  only whole, with no ``<`` in the content, closed by a literal ``</name>``
+  in any ASCII case, and, but for script and style, no ``&`` either.
+
+Everything else, ``<plaintext>`` and self-closing raw-text tags included, is
+handed off: at the first construct outside the subset, ``feed`` and ``close``
+walk the rest of the page from that construct's ``<``. Nothing is walked
+twice, and hostile markup meets exactly the stdlib's behaviour. A failed
+attempt costs one linear scan, not a quadratic one: a start tag is first
+matched up to its first ``>`` and only then checked attribute by attribute.
 """
 
 from __future__ import annotations
@@ -31,6 +69,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
+from html import unescape
 from html.parser import HTMLParser
 
 from .errors import ParseError
@@ -47,6 +86,35 @@ BREAK_MARK = ""
 
 _TOKEN = re.compile(r"[^\W_]+")
 _SENTENCE_SPLIT = re.compile(r"([.!?]|\n)")
+
+# The markup the walk reads itself; the module docstring says why each rule
+# is there.
+_WS = "[ \t\n\r\f]"
+_ATTR_NAME = "[a-zA-Z_:][-a-zA-Z0-9_:.]*"
+_ATTR_VALUE = "(?:\"[^\"<>&]*\"|'[^'<>&]*'|[-a-zA-Z0-9_:.]+(?=[ \t\n\r\f>]))"
+# One construct and the text before it: a start tag (its name, then what
+# follows the name up to and with the first ">"), an end tag, a comment, or
+# a doctype.
+_CONSTRUCT = re.compile(
+    "([^<]*)<(?:"
+    "([a-zA-Z][a-zA-Z0-9]*)(?:>|([ \t\n\r\f/][^<>]*>))"
+    "|/([a-zA-Z][a-zA-Z0-9]*)>"
+    "|!--([^-<>]*)-->"
+    "|!((?ai:doctype)[^<>]*)>)"
+)
+# What follows a start tag's name: attributes, then an optional "/".
+_TAG_REST = re.compile(f"((?:{_WS}+{_ATTR_NAME}(?:{_WS}*={_WS}*{_ATTR_VALUE})?)*){_WS}*(/?)>")
+_ATTR = re.compile(f"{_WS}+({_ATTR_NAME})(?:{_WS}*(=){_WS}*(\"[^\"]*\"|'[^']*'|[^ \t\n\r\f]+))?")
+# The content and end tag of each element that some supported html.parser
+# reads as raw text, by its name; <plaintext> has no end tag.
+_RAW_TEXT_END = {
+    **{name: re.compile(f"([^<]*)</{name}>", re.I | re.A) for name in ("script", "style")},
+    **{
+        name: re.compile(f"([^<&]*)</{name}>", re.I | re.A)
+        for name in ("title", "textarea", "xmp", "iframe", "noembed", "noframes", "noscript")
+    },
+    "plaintext": None,
+}
 
 
 @dataclass(frozen=True)
@@ -183,6 +251,64 @@ class _BlockWalker(HTMLParser):
     def handle_data(self, data):
         self._append(data.replace(BREAK_MARK, ""))
 
+    def walk(self, markup: str):
+        """Call the handlers the stdlib would for ``markup``, reading the subset itself.
+
+        At the first construct outside the subset, ``feed`` and ``close``
+        walk the rest of the page from its ``<``.
+        """
+        pos = 0
+        construct = _CONSTRUCT.match
+        handle_data, handle_starttag, handle_endtag = self.handle_data, self.handle_starttag, self.handle_endtag
+        while m := construct(markup, pos):
+            text, tag, rest, end_tag, comment, decl = m.groups()
+            if text:
+                handle_data(unescape(text))
+            pos = m.end()
+            if end_tag:
+                handle_endtag(end_tag.lower())
+            elif tag:
+                tag = tag.lower()
+                attrs, slash = [], ""
+                if rest:
+                    if not (inside := _TAG_REST.fullmatch(rest)):
+                        pos = m.end(1)
+                        break
+                    attr_text, slash = inside.groups()
+                    attrs = [
+                        (name.lower(), None if not eq else value[1:-1] if value[0] in "\"'" else value)
+                        for name, eq, value in _ATTR.findall(attr_text)
+                    ]
+                if tag in _RAW_TEXT_END:
+                    content_end = _RAW_TEXT_END[tag]
+                    if slash or content_end is None or not (raw := content_end.match(markup, pos)):
+                        pos = m.end(1)
+                        break
+                    handle_starttag(tag, attrs)
+                    if content := raw.group(1):
+                        handle_data(content)
+                    handle_endtag(tag)
+                    pos = raw.end()
+                elif slash:
+                    self.handle_startendtag(tag, attrs)
+                else:
+                    handle_starttag(tag, attrs)
+            elif comment is not None:
+                self.handle_comment(comment)
+            else:
+                self.handle_decl(decl)
+        else:
+            lt = markup.find("<", pos)
+            if lt < 0:
+                if pos < len(markup):
+                    handle_data(unescape(markup[pos:]))
+                return
+            if lt > pos:
+                handle_data(unescape(markup[pos:lt]))
+            pos = lt
+        self.feed(markup[pos:])
+        self.close()
+
     def updatepos(self, i, j):
         # HTMLParser only reads the returned index; the line and column it
         # would track are never queried here
@@ -207,11 +333,15 @@ def segment_blocks(doc: RawDocument) -> list[Block]:
     synthetic block; a tag-free document therefore yields exactly one block.
     Elements without directly contained text produce no block. Markup the
     stdlib parser gives up on (``<![foo[``, ``<![ ``) raises ``ParseError``.
+
+    The walk reads the markup every supported ``html.parser`` tokenizes
+    alike and feeds the page to the stdlib from the first construct outside
+    it (the module docstring lists the subset), so the blocks are the ones a
+    stdlib walk of the whole page gives.
     """
     walker = _BlockWalker()
     try:
-        walker.feed(doc.markup)
-        walker.close()
+        walker.walk(doc.markup)
     except AssertionError as exc:  # how html.parser and _markupbase reject a construct
         raise ParseError(f"{doc.doc_id}: markup the HTML parser rejects ({exc})") from exc
     return [

@@ -288,11 +288,16 @@ class TestStopWordMismatch:
         assert "the active stop words ['a', 'all', 'and', 'by', 'in'], so" in capsys.readouterr().err
 
 
+class _Raw(str):
+    """A record that ``rewrite_records`` writes as it stands, not as JSON."""
+
+
 def rewrite_records(path, edit):
     """Rewrite the saved case base at ``path`` after ``edit`` changes its list of records."""
     records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     edit(records)
-    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records), encoding="utf-8")
+    lines = (r if isinstance(r, _Raw) else json.dumps(r, sort_keys=True) for r in records)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def _drop_df(records):
@@ -394,6 +399,11 @@ def _drop_stats(records):
     del records[-2]
 
 
+def _deeply_nested_case(records):
+    # deeper than any interpreter's recursion limit for decoding JSON
+    records[1] = _Raw("[" * 100_000 + "]" * 100_000)
+
+
 def _set_topic(index, key, value):
     """Set one field of an embedded lexicon topic, and sign the header with the fingerprint its loose reading gives."""
 
@@ -456,6 +466,7 @@ class TestMalformedCaseBase:
             (_set_topic(0, "terms", "beach"), f"malformed lexicon at line 6 ({TOPIC_TYPES})"),
             (_set_topic(-1, "miscellaneous", 1), f"malformed lexicon at line 6 ({TOPIC_TYPES})"),
             (_surrogate_lexicon_term, "malformed lexicon at line 6 ('utf-8' codec can't encode character '\\udce9'"),
+            (_deeply_nested_case, "line 2 is not valid JSON (maximum recursion depth exceeded"),
         ],
         ids=[
             "no-df", "list-df", "nameless-topic", "list-doc-id", "surrogate-doc-id", "m-str", "m-float", "m-bool", "N-str", "N-null",
@@ -464,6 +475,7 @@ class TestMalformedCaseBase:
             "all-int-too-large", "av-digit-string", "av-object", "prob-desc-object", "weight-underscore-string",
             "weight-true", "weight-too-large", "weight-too-negative", "df-float", "stats-N-str", "stats-among-cases", "case-after-lexicon", "no-stats",
             "k-terms-float", "topic-name-int", "topic-terms-str", "topic-miscellaneous-int", "surrogate-lexicon-term",
+            "deeply-nested-case",
         ],
     )
     def test_malformed_record_is_a_format_error(self, workspace, capsys, edit, message):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import re
 import sys
+from html.parser import HTMLParser
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,7 @@ from affret import (
     segment_blocks,
     tokenize,
 )
-from affret.segmenter import BREAK_MARK, _TOKEN, _collapse_repeated_phrases, _longest_square, _render
+from affret.segmenter import BREAK_MARK, _TOKEN, _BlockWalker, _collapse_repeated_phrases, _longest_square, _render
 
 import oracles
 from conftest import fuzz_html
@@ -339,10 +341,11 @@ class TestVisibleCharacterCount:
         assert (block.unlinked_chars, block.linked_chars) == (2, 8)
 
 
-# Tag-soup pieces in five equally likely groups, so that segmenting elements
+# Tag-soup pieces in six equally likely groups, so that segmenting elements
 # open inside one another often enough to reach the implicit <p> close, and
 # declarations, marked sections, processing instructions and comments, closed
-# or not, meet one another and the tags.
+# or not, meet one another and the tags. The sixth group holds the edges of
+# the markup the walk reads itself; a soup may end in a lone "<" or "&am".
 SEGMENTING_OPENS = ["<p>", "<div>", "<table>"]
 SEGMENTING_CLOSES = ["</p>", "</div>", "</table>"]
 OTHER_TAG_PIECES = [
@@ -361,16 +364,47 @@ DECLARATION_PIECES = [
     "<!x>", "<!x ", "<!DOCTYPE html>", "<![foo[ y ]]>", "<![foo[ ", "<![a]>", "<![ ", "<![1", "<![",
     "<![CDATA[ c ]]>", "<![CDATA[ ", "<![if]>", "<?x y>", "<?x ", "<!-- c -->", "<!-- ", "]]>", "-->", ">",
 ]
-tag_soup = st.lists(
-    st.one_of(
-        *map(
-            st.sampled_from,
-            (SEGMENTING_OPENS, SEGMENTING_CLOSES, OTHER_TAG_PIECES, TEXT_PIECES, DECLARATION_PIECES),
-        )
+EDGE_PIECES = [
+    # tags: case, whitespace the parsers disagree on, blanks around "=", bare and quoted values
+    "<P>", "<DIV CLASS=x>", "<div\x0bclass=x>", "<div\xa0class=x>", "<div\u2003class=x>", "<div class=x\xa0id=y>",
+    '<p class = "x">', "<a href=/x/>", "<a href=x/>", "<a href=x />", "<a x=y/>", "<br/>", "<p/>", "<a x==y>",
+    '<a href="a>b">', '<a href="a&amp;b">', "<a title='a<b'>", "<a x='1'y=2>", "<a x/>", "<a/b>",
+    # end tags
+    "</div >", "</ div>", "</DIV>", "</>", "</p x>",
+    # raw text
+    "<script>a<b</script>", "<script>x</scriptx>", "</scriptx>", "<SCRIPT>x</SCRIPT>", "<script/>", "<script>x</script >",
+    "<title>a&amp;b</title>", "<textarea>a&b</textarea>", "<xmp>a&lt;b</xmp>", "<title>t</title>", "<plaintext>",
+    "<noscript>n</noscript>", "<iframe>f</iframe>", "<style>p{}</style>", "<script type='t'>if (a && b) {}</script>",
+    # comments and doctypes
+    "<!-- a - b -->", "<!-->", "<!--->", "<!---->", "<!-- x --!>", "<!-- x -- >", "<!doctype html>", "<!DocType>",
+]
+tag_soup = st.tuples(
+    st.lists(
+        st.one_of(
+            *map(
+                st.sampled_from,
+                (SEGMENTING_OPENS, SEGMENTING_CLOSES, OTHER_TAG_PIECES, TEXT_PIECES, DECLARATION_PIECES, EDGE_PIECES),
+            )
+        ),
+        min_size=1,
+        max_size=40,
     ),
-    min_size=1,
-    max_size=40,
-).map("".join)
+    st.sampled_from(["", "", "", "<", "&am"]),
+).map(lambda soup: "".join(soup[0]) + soup[1])
+
+# Pieces that are in the walk's own subset, alone and joined in any order.
+SUBSET_PIECES = [
+    "<!DOCTYPE html>", '<!doctype HTML PUBLIC "-//W3C//DTD HTML 4.01//EN">', "<!-- nav -->", "<!---->",
+    "<p>", "<P>", '<div class="nav">', "<div class = 'x' id=main>", "<table border=1>",
+    "</p>", "</div>", "</DIV>", "</table>",
+    '<a href="/offers">', "<A HREF='#top' title=\"go\">", "</a>", "<br>", "<br/>", "<br />", "<hr/>",
+    '<img src="x.png" alt="">', "<input disabled>", "<h2>", "</h2>", "<li>", "<tr>", "<td>", "</td>",
+    "<span>", "</span>", "<head>", "</head>",
+    "<script>var a = 1 && b;</script>", '<SCRIPT type="t"></Script>', "<style>p{}</style>",
+    "<title>Goa beaches</title>", "<textarea>notes</textarea>", "<noscript>n</noscript>",
+    "goa", " beach ", "&amp;", "&#x41;", "sand.", "\u00a0", "\n",
+]
+subset_page = st.lists(st.sampled_from(SUBSET_PIECES), max_size=30).map("".join)
 
 
 def segmentation_view(block):
@@ -402,6 +436,112 @@ class TestSegmentationMatchesReference:
     @settings(max_examples=1000, deadline=None)
     def test_tag_soup(self, markup):
         self.assert_matches(markup)
+
+    @given(subset_page, tag_soup)
+    @settings(max_examples=1000, deadline=None)
+    def test_subset_page_then_tag_soup(self, page, tail):
+        # the walk hands the page to the stdlib wherever the tail leaves its subset
+        self.assert_matches(page + tail)
+
+
+class _Recorder:
+    """Keeps every handler call, with its arguments, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def handle_starttag(self, tag, attrs):
+        self.calls.append(("starttag", tag, attrs))
+
+    def handle_startendtag(self, tag, attrs):
+        self.calls.append(("startendtag", tag, attrs))
+
+    def handle_endtag(self, tag):
+        self.calls.append(("endtag", tag))
+
+    def handle_data(self, data):
+        self.calls.append(("data", data))
+
+    def handle_comment(self, data):
+        self.calls.append(("comment", data))
+
+    def handle_decl(self, decl):
+        self.calls.append(("decl", decl))
+
+    def handle_pi(self, data):
+        self.calls.append(("pi", data))
+
+    def unknown_decl(self, data):
+        self.calls.append(("unknown_decl", data))
+
+
+class _WalkRecorder(_Recorder, _BlockWalker):
+    pass
+
+
+class _StdlibRecorder(_Recorder, HTMLParser):
+    pass
+
+
+def handler_calls(markup: str, walk: bool) -> list:
+    """The handler calls of the walk, or of a stdlib ``feed`` and ``close``; a rejected construct ends them."""
+    recorder = _WalkRecorder() if walk else _StdlibRecorder()
+    try:
+        if walk:
+            recorder.walk(markup)
+        else:
+            recorder.feed(markup)
+            recorder.close()
+    except AssertionError:
+        recorder.calls.append("rejected")
+    return recorder.calls
+
+
+SAMPLE_CORPUS = Path(__file__).resolve().parent.parent / "sample" / "corpus"
+# what a real page opens with: a doctype, a title, a script, a comment, quoted and bare attributes
+HANDMADE_PAGE = (
+    "<!DOCTYPE html>\n<html lang=en><head><title>Goa beaches</title>"
+    '<script type="text/javascript">if (a && b) {}</script><style>p { color: red }</style></head>\n'
+    '<body><!-- navigation --><div class="nav" id=top><a href="/offers">offers</a></div>'
+    "<p>Goa beach &amp; temple walk.<br/>Sand &#x41;.</p></body></html>\n"
+)
+
+
+class TestWalk:
+    @given(st.one_of(tag_soup, st.tuples(subset_page, tag_soup).map("".join)))
+    @example("<p>a&am")
+    @example("<a href=x/>b")
+    @example("<title>a&amp;b</title>")
+    @example("<plaintext><p>x</p>")
+    @example("<script/>x</script>")
+    @settings(max_examples=1000, deadline=None)
+    def test_calls_the_handlers_the_stdlib_calls(self, markup):
+        assert handler_calls(markup, walk=True) == handler_calls(markup, walk=False)
+
+    @given(subset_page)
+    @settings(max_examples=300, deadline=None)
+    def test_subset_pages_are_read_without_the_stdlib(self, page):
+        recorder = _WalkRecorder()
+        recorder.feed = recorder.close = None  # calling either fails the test
+        recorder.walk(page)
+
+    def test_sample_pages_are_read_without_the_stdlib(self, monkeypatch):
+        # a regex slip that handed every page to the stdlib would keep every
+        # output and lose the walk's speed; only this test would notice
+        fed = []
+        feed = HTMLParser.feed
+        monkeypatch.setattr(HTMLParser, "feed", lambda self, data: (fed.append(data), feed(self, data))[1])
+        pages = [path.read_bytes() for path in sorted(SAMPLE_CORPUS.glob("*.html"))]
+        assert len(pages) == 20
+        for raw in [*pages, HANDMADE_PAGE.encode("utf-8")]:
+            segment_blocks(parse_document(raw, "t"))
+        assert fed == []
+        assert texts_of("<p>a</p><p>b<![CDATA[c]]>d") == ["a", "bd"]
+        assert fed == ["<![CDATA[c]]>d"]
+
+    def test_handmade_page_blocks(self):
+        assert texts_of(HANDMADE_PAGE) == ["offers", "Goa beach & temple walk.\nSand A."]
 
 
 class TestFuzzProperties:
