@@ -73,7 +73,7 @@ class _PhraseTable:
                 lengths.append(len(toks))
 
     def counts(self, tokens: list[str]) -> list[int]:
-        folded = [t.casefold() for t in tokens]
+        folded = list(map(str.casefold, tokens))
         n = len(folded)
         counts = [0] * self.width
         # position at which each topic's own greedy scan resumes

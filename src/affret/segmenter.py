@@ -60,8 +60,9 @@ Everything else, ``<plaintext>`` and self-closing raw-text tags included, is
 handed off: at the first construct outside the subset, ``feed`` and ``close``
 walk the rest of the page from that construct's ``<``. Nothing is walked
 twice, and hostile markup meets exactly the stdlib's behaviour. A failed
-attempt costs one linear scan, not a quadratic one: a start tag is first
-matched up to its first ``>`` and only then checked attribute by attribute.
+attempt costs one linear scan, not a quadratic one, that stops at the
+page's last ``>``: a start tag is first matched up to its first ``>`` and
+only then checked attribute by attribute.
 """
 
 from __future__ import annotations
@@ -258,9 +259,12 @@ class _BlockWalker(HTMLParser):
         walk the rest of the page from its ``<``.
         """
         pos = 0
+        # every construct ends in ">", so none ends past the last one, and a
+        # failed attempt scans no further
+        end = markup.rfind(">") + 1
         construct = _CONSTRUCT.match
         handle_data, handle_starttag, handle_endtag = self.handle_data, self.handle_starttag, self.handle_endtag
-        while m := construct(markup, pos):
+        while m := construct(markup, pos, end):
             text, tag, rest, end_tag, comment, decl = m.groups()
             if text:
                 handle_data(unescape(text))
@@ -370,11 +374,11 @@ def extract_block_text(block: Block, threshold: float) -> str:
     return _render(block.segments, include_linked=include_linked)
 
 
-def _collapse_repeated_phrases(tokens: list[str], min_len: int = 3) -> list[str]:
+def _collapse_repeated_phrases(tokens: list[str], folded: list[str], min_len: int = 3) -> list[str]:
     # Immediately repeated phrase of >= min_len tokens collapses to one
     # occurrence: longest first, leftmost among equals, rescanning until
-    # stable. Comparison is case-folded; the kept copy keeps its casing.
-    folded = [t.casefold() for t in tokens]
+    # stable. Comparison reads ``folded``, the tokens case-folded, and
+    # collapses it alongside; the kept copy keeps its casing.
     while (square := _longest_square(folded, min_len)) is not None:
         start, length = square
         del tokens[start + length : start + 2 * length]
@@ -430,33 +434,33 @@ def dedupe_sentences(text: str) -> str:
     once is removed on every later occurrence; inside a sentence a phrase of
     three or more tokens immediately repeating collapses to one occurrence.
     Idempotent: applying it twice changes nothing further.
+
+    A repeat needs six tokens and a repeated 3-gram, so most sentences are
+    settled by one set of the 3-grams of the normalized sentence's blank-split
+    pieces, its folded tokens (no character folds to whitespace).
     """
     pieces = _SENTENCE_SPLIT.split(text)
-    kept: list[tuple[str, str]] = []
+    out: list[str] = []
     seen: set[str] = set()
     for i in range(0, len(pieces), 2):
-        delim = pieces[i + 1] if i + 1 < len(pieces) else ""
         tokens = pieces[i].split()
         if not tokens:
             continue
-        tokens = _collapse_repeated_phrases(tokens)
         sentence = " ".join(tokens)
         key = sentence.casefold()
+        if len(tokens) >= 6:
+            folded = key.split(" ")
+            if len(set(zip(folded, folded[1:], folded[2:]))) < len(folded) - 2:
+                sentence = " ".join(_collapse_repeated_phrases(tokens, folded))
+                key = sentence.casefold()
         if key in seen:
             continue
         seen.add(key)
-        kept.append((sentence, delim))
-
-    out: list[str] = []
-    for j, (sentence, delim) in enumerate(kept):
-        out.append(sentence)
-        if delim == "\n":
-            out.append("\n")
-        elif delim:
-            out.append(delim)
-            if j + 1 < len(kept):
-                out.append(" ")
-    return "".join(out)
+        # a blank after each sentence not ended by "\n"; the one at the very end is cut
+        delim = pieces[i + 1] if i + 1 < len(pieces) else ""
+        out.append(sentence + ("\n" if delim == "\n" else delim + " "))
+    joined = "".join(out)
+    return joined[:-1] if joined.endswith(" ") else joined
 
 
 def tokenize(text: str, stop_words: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
@@ -464,13 +468,17 @@ def tokenize(text: str, stop_words: frozenset[str] = DEFAULT_STOPWORDS) -> list[
 
     A token is a maximal run of ``str.isalnum`` characters, the class regex
     ``[^\\W_]`` matches. No whitespace character is alphanumeric, so each
-    whitespace-delimited piece is tokenized on its own, and one that is
-    alphanumeric throughout is a token as it stands.
+    whitespace-delimited piece is tokenized on its own. One that is
+    alphanumeric throughout is a token as it stands, and so is one that is
+    but for its last character, such as the ``word.`` at a sentence end,
+    less that character; only the other pieces are scanned by the regex.
     """
     tokens = []
     for piece in text.casefold().split():
         if piece.isalnum():
             tokens.append(piece)
+        elif (head := piece[:-1]).isalnum():
+            tokens.append(head)
         else:
             tokens += _TOKEN.findall(piece)
     return [t for t in tokens if t not in stop_words]

@@ -34,6 +34,7 @@ from affret.segmenter import (
 from affret.stopwords import DEFAULT_STOPWORDS
 
 _WS_RUN = re.compile(r"\s+")
+_SENTENCE_SPLIT = re.compile(r"([.!?]|\n)")
 _BREAK_RUN = re.compile(f" ?(?:{BREAK_MARK} ?)+")
 _TOKEN = re.compile(r"[^\W_]+")
 
@@ -185,6 +186,42 @@ def collapse_repeated_phrases(tokens: list[str], min_len: int = 3) -> list[str]:
             if changed:
                 break
     return tokens
+
+
+def dedupe_sentences(text: str) -> str:
+    """Reference ``segmenter.dedupe_sentences``: every sentence's tokens are collapsed, then written in a second pass.
+
+    Each sentence is split into tokens and run through the reference
+    ``collapse_repeated_phrases``, which folds every token it compares; its
+    case-folded join is the key that drops a later repeat. The kept
+    sentences are then joined with their delimiters, a blank after each
+    terminal mark but the last sentence's.
+    """
+    pieces = _SENTENCE_SPLIT.split(text)
+    kept: list[tuple[str, str]] = []
+    seen: set[str] = set()
+    for i in range(0, len(pieces), 2):
+        delim = pieces[i + 1] if i + 1 < len(pieces) else ""
+        tokens = pieces[i].split()
+        if not tokens:
+            continue
+        sentence = " ".join(collapse_repeated_phrases(tokens))
+        key = sentence.casefold()
+        if key in seen:
+            continue
+        seen.add(key)
+        kept.append((sentence, delim))
+
+    out: list[str] = []
+    for j, (sentence, delim) in enumerate(kept):
+        out.append(sentence)
+        if delim == "\n":
+            out.append("\n")
+        elif delim:
+            out.append(delim)
+            if j + 1 < len(kept):
+                out.append(" ")
+    return "".join(out)
 
 
 def scan(tokens: list[str], ngrams: dict[int, set[tuple[str, ...]]]) -> tuple[int, set[int]]:

@@ -161,6 +161,42 @@ class TestExtractBlockText:
         assert extract_block_text(block, 0.5) == "abcd efgh"
 
 
+# tokens whose case folding grows or merges (ß, İ, final sigma, the ﬁ ligature), beside plain ones
+_DEDUPE_TOKENS = ["a", "A", "b", "ß", "SS", "ss", "İ", "i\u0307", "Σ", "σ", "ς", "ﬁ", "FI", "x_y", "7"]
+_DEDUPE_BLANKS = [" ", "  ", "\t", "\u2028", "\x1c", "\xa0"]
+
+
+@st.composite
+def sentence_tokens(draw):
+    """0-9 tokens, sometimes with a phrase repeated in place in another case."""
+    tokens = draw(st.lists(st.sampled_from(_DEDUPE_TOKENS), max_size=9))
+    if tokens and draw(st.booleans()):
+        start = draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+        phrase = tokens[start : start + draw(st.integers(min_value=1, max_value=4))]
+        tokens[start + len(phrase) : start + len(phrase)] = [t.swapcase() if draw(st.booleans()) else t for t in phrase]
+    return tokens
+
+
+@st.composite
+def dedupe_texts(draw):
+    """Sentences between delimiters, at the ends too; some repeat an earlier one in another case and spacing."""
+    blank = st.sampled_from(_DEDUPE_BLANKS)
+    delimiter = st.sampled_from(["", ".", "!", "?", "\n"])
+    parts = [draw(delimiter)]
+    sentences = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        if sentences and draw(st.booleans()):
+            tokens = [t.swapcase() if draw(st.booleans()) else t for t in draw(st.sampled_from(sentences))]
+        else:
+            tokens = draw(sentence_tokens())
+            sentences.append(tokens)
+        parts.append(draw(blank) if draw(st.booleans()) else "")
+        for token in tokens:
+            parts += [token, draw(blank)]
+        parts.append(draw(delimiter))
+    return "".join(parts)
+
+
 class TestDedupeSentences:
     def test_exact_duplicate_sentence(self):
         assert dedupe_sentences("A b. A b.") == "A b."
@@ -189,6 +225,17 @@ class TestDedupeSentences:
             once = dedupe_sentences(extract_block_text(block, 0.5))
             assert dedupe_sentences(once) == once
 
+    @given(dedupe_texts())
+    @settings(max_examples=1000, deadline=None)
+    @example(".!?\nA b c d e.\n?!.")  # delimiters at both ends, around a 5-token sentence
+    @example("\nx\n")
+    @example("a b a c a d. a b c a b c! a b c A B")  # repeated tokens with no repeated 3-gram; two squares
+    @example("ß a b SS A B ss a b?")  # a square only once folded
+    @example("ﬁ x\x1cy σ ς z. FI X\u2028Y Σ σ Z!")  # a duplicate that differs only in case and whitespace
+    @example("İ i\u0307 İ i\u0307 İ i\u0307.\nİ\u2028İ İ.")
+    def test_matches_reference(self, text):
+        assert dedupe_sentences(text) == oracles.dedupe_sentences(text)
+
 
 @st.composite
 def tokens_with_repeats(draw):
@@ -205,25 +252,29 @@ def tokens_with_repeats(draw):
     return tokens
 
 
+def collapse(tokens: list[str], min_len: int = 3) -> list[str]:
+    return _collapse_repeated_phrases(list(tokens), [t.casefold() for t in tokens], min_len)
+
+
 class TestCollapseRepeatedPhrases:
     @given(tokens_with_repeats(), st.sampled_from([3, 3, 1, 2, 4]))
     @settings(max_examples=400, deadline=None)
     def test_matches_reference(self, tokens, min_len):
         expected = oracles.collapse_repeated_phrases(list(tokens), min_len)
-        assert _collapse_repeated_phrases(list(tokens), min_len) == expected
+        assert collapse(tokens, min_len) == expected
 
     def test_longest_repeat_collapses_first(self):
         # collapsing the 3-token repeat first would leave five tokens
-        assert _collapse_repeated_phrases("A a a a a a a a".split()) == ["A", "a", "a", "a"]
+        assert collapse("A a a a a a a a".split()) == ["A", "a", "a", "a"]
 
     def test_leftmost_repeat_collapses_first(self):
         # collapsing the rightmost 3-token repeat first would leave six tokens
         tokens = "a b A a a a a a B A a b".split()
-        assert _collapse_repeated_phrases(tokens) == ["a", "b", "A", "a", "b"]
+        assert collapse(tokens) == ["a", "b", "A", "a", "b"]
 
     def test_no_repeated_trigram_is_unchanged(self):
         tokens = [f"w{i}" for i in range(5000)]
-        assert _collapse_repeated_phrases(list(tokens)) == tokens
+        assert collapse(tokens) == tokens
 
     def test_no_repeated_trigram_has_no_square(self):
         # "a b" repeats, but no 3-gram does
@@ -294,6 +345,17 @@ class TestTokenize:
     )
     @settings(max_examples=1000, deadline=None)
     @example("İ goa_beach ß²", DEFAULT_STOPWORDS)
+    # pieces that end a sentence: alphanumeric but for the last character, or not
+    @example("word.", frozenset())
+    @example("ß.", frozenset())
+    @example("İ!", frozenset())
+    @example("_.", frozenset())
+    @example("a_.", frozenset())
+    @example(".", frozenset())
+    @example("..", frozenset())
+    @example("x..", frozenset())
+    @example("a.b", frozenset())
+    @example("q²?", frozenset())
     def test_matches_reference(self, text, stop_words):
         assert tokenize(text, stop_words) == oracles.tokenize(text, stop_words)
 
@@ -442,6 +504,12 @@ class TestSegmentationMatchesReference:
     def test_subset_page_then_tag_soup(self, page, tail):
         # the walk hands the page to the stdlib wherever the tail leaves its subset
         self.assert_matches(page + tail)
+
+    def test_open_tag_after_the_last_close(self):
+        # the walk's match attempts end at the page's last ">"; the stdlib reads the rest
+        for head in ("<p>x<a", "<p>x</p><a", "<a", '<div>a<b>b</b>c<a href="y"', "x > y<a"):
+            for tail in ("", " ", " " * 100_000, "\n\t" * 1000 + "z", " <p>"):
+                self.assert_matches(head + tail)
 
 
 class _Recorder:
