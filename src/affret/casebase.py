@@ -11,6 +11,11 @@ distinct weight, both kept by the corpus stats, so the build and every later
 ``build_case`` against the same stats share them; it keeps a block of at most
 k distinct terms whole without ranking it.
 
+This module alone knows the weight format. A description weight is
+``round12(max_tf * selection idf)``, every selection idf comes from the
+stats' one idf table, and ``recover_tfs`` is the one rule that gives the tf
+back, for retrieval's scoring and tf views and for load's check.
+
 Persistence is line-delimited JSON with sorted keys. affret quantizes every
 float it computes to 12 significant digits *at construction time*: term
 weights when a case is built, and the revised-vector components that
@@ -21,7 +26,7 @@ losslessly and rebuilds compare byte-for-byte. Load reads only the layout
 save writes and keeps each value as decoded, so a case base that affret did
 not write keeps whatever digits its values carry, and an integer stays an
 integer, until feedback moves them; a value of the wrong type is rejected,
-and so is a description weight too large to recover its tf from.
+and so is a description weight whose tf ``recover_tfs`` cannot give back.
 Save converts each distinct description weight to its JSON text once per
 call and splices each case line from those texts; the bytes stay the ones
 that encoding each record whole writes.
@@ -34,9 +39,9 @@ import logging
 import math
 import sys
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii as quote
 from operator import neg
@@ -51,6 +56,7 @@ from .errors import (
     InputError,
     LexiconFormatError,
     ParseError,
+    check_count,
     check_unit_dial,
     read_text,
 )
@@ -77,18 +83,11 @@ class BuildConfig:
     eta: float = 0.0
 
     def __post_init__(self):
-        if type(self.k_terms) is not int or self.k_terms < 1:
-            raise InputError("k_terms must be an integer >= 1")
+        check_count("k_terms", self.k_terms)
         check_unit_dial("tau", self.tau)
-        if type(self.k_retrieve) is not int or self.k_retrieve < 1:
-            raise InputError("k_retrieve must be an integer >= 1")
+        check_count("k_retrieve", self.k_retrieve)
         check_unit_dial("alpha", self.alpha)
         check_unit_dial("eta", self.eta)
-
-
-def _idf_of_df(df: int, n_cases: int) -> float:
-    """The selection idf of a document frequency over ``n_cases``: ``selection_idf`` and the stats' idf table."""
-    return math.log(1.0 + n_cases / (1.0 + df))
 
 
 class _Memo(dict):
@@ -107,8 +106,9 @@ class _Memo(dict):
 class CorpusStats:
     """Document frequencies over the ``n_cases`` cases of a build.
 
-    It also holds pass 2's memos, shared by every ``_cases`` call against it:
-    the selection idf of each df and the ``round12`` of each weight. An idf
+    It also holds two memos: the selection idf of each df, the one idf table
+    that ``selection_idf``, pass 2, tf recovery and load read, and the
+    ``round12`` of each weight, shared by every ``_cases`` call. An idf
     depends only on its df and ``n_cases``, and a rounding only on its
     weight, so both stay valid for the object's life: it is frozen, so
     ``n_cases`` cannot change under the idf table. ``df`` must not be mutated
@@ -118,11 +118,13 @@ class CorpusStats:
 
     df: dict[str, int]
     n_cases: int
-    _idf_by_df: _Memo = field(init=False, repr=False, compare=False)
     _rounded: _Memo = field(default_factory=lambda: _Memo(round12), init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_idf_by_df", _Memo(partial(_idf_of_df, n_cases=self.n_cases)))
+    @cached_property
+    def _idf_by_df(self) -> _Memo:
+        """df -> the selection idf of a term with that df, computed once per df."""
+        n_cases = self.n_cases
+        return _Memo(lambda df: math.log(1.0 + n_cases / (1.0 + df)))
 
 
 @dataclass
@@ -149,8 +151,27 @@ class CaseBase:
 
 
 def selection_idf(term: str, stats: CorpusStats) -> float:
-    """Smoothed idf used for discriminative-term selection."""
-    return _idf_of_df(stats.df.get(term, 0), stats.n_cases)
+    """Smoothed idf used for discriminative-term selection, read from the stats' idf table."""
+    return stats._idf_by_df[stats.df.get(term, 0)]
+
+
+def recover_tfs(term: str, weights: Iterable[float], stats: CorpusStats) -> list[int]:
+    """The tf behind each of a term's description weights: the one tf rule of the weight format.
+
+    A weight is ``round12(max_tf * selection idf)``, quantized well past
+    integer resolution, so the weight divided by the selection idf rounds
+    back to the build-time count exactly; a tf below 1 is lifted to 1. A
+    quotient that overflows to inf, or a nan weight, rounds to no integer
+    and raises ``CaseBaseFormatError`` naming the term.
+    """
+    selection = selection_idf(term, stats)
+    try:
+        # not max(1, ...): this runs per posting of every queried term
+        return [tf if (tf := round(weight / selection)) > 1 else 1 for weight in weights]
+    except OverflowError as exc:
+        raise CaseBaseFormatError(f"case base weight of {term!r} is too large to recover its tf") from exc
+    except ValueError as exc:
+        raise CaseBaseFormatError(f"case base weight of {term!r} is not a number") from exc
 
 
 def select_top_k_terms(
@@ -165,10 +186,7 @@ def select_top_k_terms(
     ranks only blocks of more than k distinct terms and passes one memo for
     all its blocks.
     """
-    if type(k) is not int:
-        raise InputError("k must be an integer")
-    if k < 1:
-        raise InputError("k must be >= 1")
+    check_count("k", k)
     rounded = _Memo(round12) if _rounded is None else _rounded
     values = map(rounded.__getitem__, [count * idf[term] for term, count in tf.items()])
     ranked = sorted(zip(map(neg, values), tf))
@@ -470,7 +488,11 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
         # the sum of weights none of which is negative bounds each of them;
         # a line that holds no "-" holds no negative number
         if weight_total > _RECOVERABLE_WEIGHT or ("-" in line and min(case.prob_desc.values()) < 0):
-            _reject_unrecoverable_tf(case, stats, path, lineno)
+            try:
+                for term, weight in case.prob_desc.items():
+                    recover_tfs(term, (weight,), stats)
+            except CaseBaseFormatError as exc:
+                raise CaseBaseFormatError(f"{path}: line {lineno}: {exc}") from exc
         first = case_lines.setdefault(case.doc_id, lineno)
         if first != lineno:
             raise CaseBaseFormatError(
@@ -527,18 +549,11 @@ def _reject_non_finite(case: Case, path: str | Path, lineno: int) -> None:
             raise CaseBaseFormatError(f"{path}: case {case.doc_id!r} at line {lineno} has a non-finite {name} value")
 
 
-# A tf is recovered as round(weight / selection idf), which overflows once
-# the quotient is inf. Load accepts only N >= 1 and df <= N, so every
-# selection idf is at least log(1.5), and no weight up to this bound, which
-# is below log(1.5) times the float maximum, can overflow.
+# recover_tfs fails once a weight's quotient by its selection idf is inf.
+# Load accepts only N >= 1 and df <= N, so every selection idf is at least
+# log(1.5), and no weight up to this bound, which is below log(1.5) times
+# the float maximum, can overflow.
 _RECOVERABLE_WEIGHT = 7e307
-
-
-def _reject_unrecoverable_tf(case: Case, stats: CorpusStats, path: str | Path, lineno: int) -> None:
-    """Raise ``CaseBaseFormatError`` if a weight of the case, divided by its term's selection idf, is infinite."""
-    for term, weight in case.prob_desc.items():
-        if math.isinf(weight / selection_idf(term, stats)):
-            raise CaseBaseFormatError(f"{path}: line {lineno}: case base weight of {term!r} is too large to recover its tf")
 
 
 def revise_case_affordance(case: Case, query_av: AffordanceVector, eta: float) -> Case:

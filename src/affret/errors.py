@@ -1,4 +1,4 @@
-"""Exception types shared across the pipeline, the one reader of text input files, and the one [0, 1] dial check."""
+"""Exception types shared across the pipeline, the one reader of text input files, and the dial and count checks."""
 
 from __future__ import annotations
 
@@ -45,6 +45,12 @@ def check_unit_dial(name: str, value: object) -> None:
     """Raise ``InputError`` unless ``value`` is a number in [0, 1]; a bool is not a number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
         raise InputError(f"{name} must lie in [0, 1]")
+
+
+def check_count(name: str, value: object) -> None:
+    """Raise ``InputError`` unless ``value`` is an integer >= 1; a bool is not an integer."""
+    if type(value) is not int or value < 1:
+        raise InputError(f"{name} must be an integer >= 1")
 
 
 def read_text(path: str | Path, error_type: type[AffretError]) -> str:

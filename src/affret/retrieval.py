@@ -19,11 +19,12 @@ cases holding each term (which also give the term's idf) and each case's
 norm. Stage one runs term at a time. The first query that uses a term fills
 the index's scoring entry for it: the term's posting ordinals and each
 posting's contribution ``tf * idf^2 * norm``, with tf recovered from the
-case's ``prob_desc`` weight at that moment. ``baseline_score`` recovers tf
-and norm from the case's own ``prob_desc`` with the same expressions, so
-the same floats. A query adds the entries of its terms, in sorted
-term order, into per-ordinal sums, which is the order in which
-``baseline_score`` adds a case's matched terms. A ``Counter`` counts each
+case's ``prob_desc`` weight at that moment by ``casebase.recover_tfs``, the
+one module that knows the weight format. ``baseline_score`` recovers tf
+through the same function and norm from the case's own ``prob_desc`` with
+the same expression, so the same floats. A query adds the entries of its
+terms, in sorted term order, into per-ordinal sums, which is the order in
+which ``baseline_score`` adds a case's matched terms. A ``Counter`` counts each
 touched case's matched terms in C, coord (``count / n_terms``) is taken once
 per match count, and each touched case's score is ``coord * sum`` in one
 list, so every score is the float ``baseline_score`` gives. Selection keeps
@@ -43,8 +44,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .affordance import AffordanceVector, cosine_to_unit, unit_support
-from .casebase import Case, CaseBase, CorpusStats, selection_idf
-from .errors import CaseBaseBuildError, CaseBaseFormatError, InputError, check_unit_dial
+from .casebase import Case, CaseBase, CorpusStats, recover_tfs
+from .errors import CaseBaseBuildError, check_count, check_unit_dial
 
 
 @dataclass
@@ -56,11 +57,6 @@ class Query:
     desc: list[str] = field(default_factory=list)
 
 
-def _unrecoverable_tf(term: str) -> CaseBaseFormatError:
-    """The error of every tf view for a weight whose quotient by the selection idf overflows."""
-    return CaseBaseFormatError(f"case base weight of {term!r} is too large to recover its tf")
-
-
 @dataclass
 class InvertedIndex:
     # term -> ascending ordinals of the cases whose description holds it,
@@ -69,8 +65,7 @@ class InvertedIndex:
     doc_norms: list[float]
     n_cases: int
     # each case's prob_desc, by ordinal, and the corpus stats: a posting's tf
-    # is recovered when it is first needed as max(1, round(weight / selection
-    # idf)), exact because weights are quantized well past integer resolution
+    # is recovered from its weight by casebase.recover_tfs when first needed
     descriptions: list[dict[str, float]] = field(repr=False)
     corpus_stats: CorpusStats = field(repr=False)
     # term -> (posting ordinals, tf * idf^2 * norm per posting), filled by
@@ -88,29 +83,15 @@ class InvertedIndex:
             term_ordinals = self.term_ordinals.get(term)
             if not term_ordinals:
                 return None
-            idf_sq = self.idf(term) ** 2
-            selection = selection_idf(term, self.corpus_stats)
-            descriptions, norms = self.descriptions, self.doc_norms
-            # tf is max(1, round(weight / selection)) as in _posting_tfs,
-            # spelled without the max() call: this runs per posting
-            try:
-                contributions = [
-                    (tf if (tf := round(descriptions[ordinal][term] / selection)) > 1 else 1) * idf_sq * norms[ordinal]
-                    for ordinal in term_ordinals
-                ]
-            except OverflowError as exc:
-                raise _unrecoverable_tf(term) from exc
+            idf_sq, norms = self.idf(term) ** 2, self.doc_norms
+            contributions = [tf * idf_sq * norms[o] for tf, o in zip(self._posting_tfs(term), term_ordinals)]
             entry = self._entries[term] = (term_ordinals, contributions)
         return entry
 
     def _posting_tfs(self, term: str) -> list[int]:
-        """The tf of each posting of an indexed term, in ordinal order: the tf rule of both views below."""
-        selection = selection_idf(term, self.corpus_stats)
+        """The tf of each posting of an indexed term, in ordinal order: what scoring and both tf views read."""
         descriptions = self.descriptions
-        try:
-            return [max(1, round(descriptions[o][term] / selection)) for o in self.term_ordinals[term]]
-        except OverflowError as exc:
-            raise _unrecoverable_tf(term) from exc
+        return recover_tfs(term, [descriptions[o][term] for o in self.term_ordinals[term]], self.corpus_stats)
 
     @cached_property
     def postings(self) -> dict[str, list[tuple[int, int]]]:
@@ -193,10 +174,7 @@ def baseline_score(q_tokens: list[str], case: Case, index: InvertedIndex) -> flo
     norm = 1.0 / math.sqrt(len(description))
     total = 0.0
     for t in matched:
-        try:
-            tf = max(1, round(description[t] / selection_idf(t, index.corpus_stats)))
-        except OverflowError as exc:
-            raise _unrecoverable_tf(t) from exc
+        [tf] = recover_tfs(t, (description[t],), index.corpus_stats)
         total += tf * index.idf(t) ** 2 * norm
     return coord * total
 
@@ -212,10 +190,7 @@ def retrieve_top_k(q_tokens: list[str], index: InvertedIndex, cb: CaseBase, k: i
     match count. Each score is the float ``baseline_score`` gives: the same
     sum order, the same ``count / n_terms`` and the same product.
     """
-    if type(k) is not int:
-        raise InputError("k must be an integer")
-    if k < 1:
-        raise InputError("k must be >= 1")
+    check_count("k", k)
     q_terms = sorted(set(q_tokens))
     if not q_terms:
         return []

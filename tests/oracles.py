@@ -22,7 +22,6 @@ from affret import (
     ParseError,
     normalize_av,
     round12,
-    selection_idf,
 )
 from affret.segmenter import (
     BREAK_MARK,
@@ -279,6 +278,11 @@ def select_top_k_terms(tf, idf: dict[str, float], k: int) -> list[tuple[str, flo
     weighted = [(term, round12(count * idf[term])) for term, count in tf.items()]
     weighted.sort(key=lambda tw: (-tw[1], tw[0]))
     return weighted[:k]
+
+
+def selection_idf(term: str, stats) -> float:
+    """Reference ``casebase.selection_idf``: the smoothed idf computed from the term's df on every call."""
+    return math.log(1.0 + stats.n_cases / (1.0 + stats.df.get(term, 0)))
 
 
 def case_description(max_tf: dict[str, int], block_tfs: list, k: int, stats) -> dict[str, float]:

@@ -146,7 +146,7 @@ class TestSelectTopKTerms:
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected(self, k):
         # a slice would read k=-1 as every term but the lowest-ranked
-        with pytest.raises(InputError, match="k must be >= 1"):
+        with pytest.raises(InputError, match="k must be an integer >= 1"):
             select_top_k_terms(Counter({"a": 2, "b": 1}), {"a": 0.25, "b": 3.0}, k)
 
     @pytest.mark.parametrize("k", [2.5, True, "3"])

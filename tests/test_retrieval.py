@@ -89,27 +89,31 @@ class TestBuildIndex:
         assert index.doc_norms[0] == pytest.approx(1 / math.sqrt(4))
 
     def test_unrecoverable_tf_is_a_format_error_in_every_view(self, tmp_path):
-        # over N = 1 and df = 1 the selection idf is below 1, so 1.5e308 / idf
-        # overflows to inf, which rounds to no tf
-        cb = CaseBase(
-            cases=[Case(doc_id="d", prob_desc={"beach": 1.5e308}, av=[1.0], av_revised=[1.0])],
-            corpus_stats=CorpusStats(df={"beach": 1}, n_cases=1),
-            lexicon=MISC_ONLY,
-            config=BuildConfig(),
-        )
-        views = {
-            "query": lambda index: retrieve_top_k(["beach"], index, cb, 1),
-            "postings": lambda index: index.postings,
-            "case_tfs": lambda index: index.case_tfs,
-            "baseline_score": lambda index: baseline_score(["beach"], cb.cases[0], index),
-        }
-        for view in views.values():
-            with pytest.raises(CaseBaseFormatError, match="weight of 'beach' is too large to recover its tf"):
-                view(build_index(cb))
-        # load refuses the saved base, so only an in-memory one reaches the views
-        save_case_base(cb, tmp_path / "cb.jsonl")
-        with pytest.raises(CaseBaseFormatError, match="line 2: case base weight of 'beach' is too large to recover its tf"):
-            load_case_base(tmp_path / "cb.jsonl")
+        for weight, problem, on_load in (
+            # over N = 1 and df = 1 the selection idf is below 1, so 1.5e308 / idf
+            # overflows to inf, which rounds to no tf
+            (1.5e308, "is too large to recover its tf", "line 2: case base weight of 'beach' is too large to recover its tf"),
+            (math.nan, "is not a number", "case 'd' at line 2 has a non-finite prob_desc value"),
+        ):
+            cb = CaseBase(
+                cases=[Case(doc_id="d", prob_desc={"beach": weight}, av=[1.0], av_revised=[1.0])],
+                corpus_stats=CorpusStats(df={"beach": 1}, n_cases=1),
+                lexicon=MISC_ONLY,
+                config=BuildConfig(),
+            )
+            views = {
+                "query": lambda index: retrieve_top_k(["beach"], index, cb, 1),
+                "postings": lambda index: index.postings,
+                "case_tfs": lambda index: index.case_tfs,
+                "baseline_score": lambda index: baseline_score(["beach"], cb.cases[0], index),
+            }
+            for view in views.values():
+                with pytest.raises(CaseBaseFormatError, match=f"^case base weight of 'beach' {problem}$"):
+                    view(build_index(cb))
+            # load refuses the saved base, so only an in-memory one reaches the views
+            save_case_base(cb, tmp_path / "cb.jsonl")
+            with pytest.raises(CaseBaseFormatError, match=on_load):
+                load_case_base(tmp_path / "cb.jsonl")
 
     def test_description_insertion_order_is_irrelevant(self, small_case_base):
         shuffled = CaseBase(
