@@ -122,9 +122,21 @@ class CorpusStats:
 
     @cached_property
     def _idf_by_df(self) -> _Memo:
-        """df -> the selection idf of a term with that df, computed once per df."""
+        """df -> the selection idf of a term with that df, computed once per df.
+
+        Only ``N >= 1`` and ``df >= 0`` give a positive idf, so any other df
+        or ``N`` raises ``CaseBaseFormatError`` on its lookup. A ``df`` above
+        ``N`` still gives one; load rejects such stats with its own message.
+        """
         n_cases = self.n_cases
-        return _Memo(lambda df: math.log(1.0 + n_cases / (1.0 + df)))
+
+        def idf(df: int) -> float:
+            # not "N < 1 or df < 0": a nan N or df fails this test too
+            if not (n_cases >= 1 and df >= 0):
+                raise CaseBaseFormatError(f"corpus stats need N >= 1 and every df >= 0, got N {n_cases} and df {df}")
+            return math.log(1.0 + n_cases / (1.0 + df))
+
+        return _Memo(idf)
 
 
 @dataclass
@@ -556,39 +568,47 @@ def _reject_non_finite(case: Case, path: str | Path, lineno: int) -> None:
 _RECOVERABLE_WEIGHT = 7e307
 
 
-def revise_case_affordance(case: Case, query_av: AffordanceVector, eta: float) -> Case:
-    """Nudge the revised vector toward the query's affordance profile.
+def revise_case_affordance(cases: list[Case], query_av: AffordanceVector, eta: float) -> None:
+    """Nudge each pool case's revised vector toward the query's affordance profile.
 
     The update adds ``eta * unit(query_av) * |av_revised|``, a step
     proportional to the vector's own length, so feedback strength scales with
     the case rather than with raw query counts. The stored raw counts in
     ``av`` are never touched; ``eta = 0`` disables feedback entirely.
-    Only the components the query names move, and only they are rounded to
-    12 digits; the others are carried as held (``v + 0.0`` is ``v``, and
-    every value affret writes is already 12-digit). Repeated aligned
-    feedback grows the vector geometrically; a step that would overflow is
-    taken from the vector scaled to a peak of 1 instead, over every component.
+    Every case's dimension is checked before any case moves, so a mismatch
+    raises ``DimensionError`` and leaves the whole pool as it was.
+
+    The whole pool moves along one direction: ``unit(query_av)`` and the
+    components it names are computed once per call. Only those components
+    move, and only they are rounded to 12 digits; the others are carried as
+    held (``v + 0.0`` is ``v``, and every value affret writes is already
+    12-digit). Cases are revised in pool order, so a case listed twice takes
+    its second step from its first step's result. Repeated aligned feedback
+    grows a vector geometrically; a step that would overflow is taken from
+    the vector scaled to a peak of 1 instead, over every component.
     """
     check_unit_dial("eta", eta)
-    if len(query_av) != len(case.av_revised):
-        raise DimensionError(f"dimension mismatch: {len(query_av)} vs {len(case.av_revised)}")
+    m = len(query_av)
+    for case in cases:
+        if len(case.av_revised) != m:
+            raise DimensionError(f"dimension mismatch: {m} vs {len(case.av_revised)}")
     if eta == 0.0:
-        return case
+        return
     direction = normalize_av(query_av)
-    av = case.av_revised
-    scale = eta * math.hypot(*av)
-    revised = list(av)
-    for j, d in enumerate(direction):
-        if d:
+    support = [(j, d) for j, d in enumerate(direction) if d]
+    for case in cases:
+        av = case.av_revised
+        scale = eta * math.hypot(*av)
+        revised = list(av)
+        for j, d in support:
             revised[j] = round12(av[j] + scale * d)
-    # a finite scale means every carried component is finite, so this checks
-    # the moved ones; an infinite scale would make even a zero query's step nan
-    if not (math.isfinite(scale) and all(map(math.isfinite, revised))):
-        # cosine reads only the direction, and the step is scale-invariant
-        peak = max(map(abs, av))
-        revised = _step([v / peak for v in av], direction, eta)
-    case.av_revised = revised
-    return case
+        # a finite scale means every carried component is finite, so this checks
+        # the moved ones; an infinite scale would make even a zero query's step nan
+        if not (math.isfinite(scale) and all(map(math.isfinite, revised))):
+            # cosine reads only the direction, and the step is scale-invariant
+            peak = max(map(abs, av))
+            revised = _step([v / peak for v in av], direction, eta)
+        case.av_revised = revised
 
 
 def _step(av: AffordanceVector, direction: AffordanceVector, eta: float) -> AffordanceVector:

@@ -14,6 +14,8 @@ import csv
 import json
 import re
 from dataclasses import asdict, dataclass
+from itertools import combinations, repeat, starmap
+from operator import gt
 from pathlib import Path
 
 from .affordance import compute_query_affordance
@@ -114,28 +116,28 @@ def compare_rankings(baseline_order: list[str], final_order: list[str]) -> float
     """Kendall tau-a between two orderings of the same doc_id set.
 
     +1 for identical orders, -1 for a full reversal; a singleton (or empty)
-    set compares as 1.
+    set compares as 1. Each pair of doc_ids is discordant when the final
+    order reverses it; the pairs are counted in C, and tau-a is
+    ``(pairs - 2 * discordant) / (n * (n - 1) / 2)``, the same integer
+    numerator (concordant minus discordant) over the same float denominator
+    as counting both kinds pair by pair.
     """
-    if len(baseline_order) != len(set(baseline_order)) or len(final_order) != len(set(final_order)):
+    baseline_ids, final_ids = set(baseline_order), set(final_order)
+    if len(baseline_order) != len(baseline_ids) or len(final_order) != len(final_ids):
         raise InputError("orderings must not repeat doc_ids")
-    if set(baseline_order) != set(final_order):
+    if baseline_ids != final_ids:
         raise InputError("orderings cover different doc_id sets")
     n = len(baseline_order)
     if n < 2:
         return 1.0
-    position = {doc_id: i for i, doc_id in enumerate(final_order)}
-    concordant = discordant = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if position[baseline_order[i]] < position[baseline_order[j]]:
-                concordant += 1
-            else:
-                discordant += 1
-    return (concordant - discordant) / (n * (n - 1) / 2)
+    position = dict(zip(final_order, range(n)))
+    discordant = sum(starmap(gt, combinations(map(position.__getitem__, baseline_order), 2)))
+    pairs = n * (n - 1) // 2
+    return (pairs - 2 * discordant) / (n * (n - 1) / 2)
 
 
 def _precision_at_k(order: list[str], query_id: str, qrels: dict[tuple[str, str], int], k: int) -> float:
-    hits = sum(qrels.get((query_id, doc_id), 0) for doc_id in order[:k])
+    hits = sum(map(qrels.get, zip(repeat(query_id), order[:k]), repeat(0)))
     return hits / k
 
 
@@ -150,7 +152,9 @@ def run_experiment(
     """Retrieve, re-rank, and summarize every query, in query order.
 
     With a positive feedback rate (eta) each query's pool is re-ranked against
-    the revised vectors accumulated so far and then revises them in turn.
+    the revised vectors accumulated so far and then revises them in turn: one
+    ``revise_case_affordance`` call moves the whole pool along the query's
+    direction.
     ``RunReport.rows`` holds one ``(query_id, ResultEntry)`` pair per ranked
     document.
     """
@@ -178,8 +182,7 @@ def run_experiment(
             summary.precision_final = _precision_at_k(final_order, query.query_id, qrels, config.k_retrieve)
         summaries.append(summary)
         if feedback:
-            for cand in pool:
-                revise_case_affordance(cand.case, query_av, config.eta)
+            revise_case_affordance([c.case for c in pool], query_av, config.eta)
 
     # the build dials are the case base's own; config sets only the retrieval dials
     build = {"k_terms": cb.config.k_terms, "tau": cb.config.tau}

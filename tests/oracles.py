@@ -469,3 +469,23 @@ def revise_case_affordance(case, query_av: list[float], eta: float):
 def _step(av: list[float], direction: list[float], eta: float) -> list[float]:
     scale = eta * math.hypot(*av)
     return [round12(v + scale * d) for v, d in zip(av, direction)]
+
+
+def compare_rankings(baseline_order: list[str], final_order: list[str]) -> float:
+    """Reference ``harness.compare_rankings``: Kendall tau-a, counting both kinds of pair one by one."""
+    if len(baseline_order) != len(set(baseline_order)) or len(final_order) != len(set(final_order)):
+        raise InputError("orderings must not repeat doc_ids")
+    if set(baseline_order) != set(final_order):
+        raise InputError("orderings cover different doc_id sets")
+    n = len(baseline_order)
+    if n < 2:
+        return 1.0
+    position = {doc_id: i for i, doc_id in enumerate(final_order)}
+    concordant = discordant = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if position[baseline_order[i]] < position[baseline_order[j]]:
+                concordant += 1
+            else:
+                discordant += 1
+    return (concordant - discordant) / (n * (n - 1) / 2)

@@ -687,14 +687,14 @@ class TestSaveMatchesOracle:
         query_avs = st.lists(st.integers(0, 6).map(float), min_size=m, max_size=m)
         for _ in range(data.draw(st.integers(0, 25), label="revisions")):
             case = cases[data.draw(st.integers(0, len(cases) - 1))]
-            revise_case_affordance(case, data.draw(query_avs), eta=0.5)
+            revise_case_affordance([case], data.draw(query_avs), eta=0.5)
         if data.draw(st.booleans(), label="overflow"):
             case = data.draw(st.sampled_from([c for c in cases if any(c.av_revised)]))
             query_av = data.draw(query_avs.filter(any))
             rescaled = False
             for _ in range(2000):
                 peak = max(case.av_revised)
-                revise_case_affordance(case, query_av, eta=0.5)
+                revise_case_affordance([case], query_av, eta=0.5)
                 # steps only add non-negative components, so only the overflow rescale lowers the peak
                 rescaled = rescaled or max(case.av_revised) < peak
             assert rescaled
@@ -741,50 +741,57 @@ class TestReviseCaseAffordance:
 
     def test_eta_zero_is_noop(self):
         case = self.make_case([1.0, 2.0])
-        revise_case_affordance(case, [0.0, 1.0], eta=0.0)
+        revise_case_affordance([case], [0.0, 1.0], eta=0.0)
         assert case.av_revised == [1.0, 2.0]
 
     def test_unit_step_toward_query(self):
         case = self.make_case([1.0, 0.0])
-        revise_case_affordance(case, [0.0, 1.0], eta=1.0)
+        revise_case_affordance([case], [0.0, 1.0], eta=1.0)
         assert case.av_revised == [1.0, 1.0]
 
     def test_zero_query_av_changes_nothing(self):
         case = self.make_case([3.0, 4.0])
         for eta in (0.1, 1.0):
-            revise_case_affordance(case, [0.0, 0.0], eta=eta)
+            revise_case_affordance([case], [0.0, 0.0], eta=eta)
         assert case.av_revised == [3.0, 4.0]
 
     def test_raw_av_never_touched(self):
         case = self.make_case([1.0, 1.0])
-        revise_case_affordance(case, [1.0, 0.0], eta=0.7)
+        revise_case_affordance([case], [1.0, 0.0], eta=0.7)
         assert case.av == [1.0, 1.0]
         assert case.av_revised != case.av
 
     def test_preserves_non_negativity(self):
         case = self.make_case([0.5, 0.5])
         for _ in range(5):
-            revise_case_affordance(case, [1.0, 3.0], eta=0.9)
+            revise_case_affordance([case], [1.0, 3.0], eta=0.9)
         assert all(v >= 0 for v in case.av_revised)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            revise_case_affordance(self.make_case([1.0]), [1.0, 2.0], eta=0.5)
+            revise_case_affordance([self.make_case([1.0])], [1.0, 2.0], eta=0.5)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    def test_dimension_mismatch_in_the_last_case_moves_no_case(self, eta):
+        cases = [self.make_case([1.0, 0.0]), self.make_case([0.0, 1.0]), self.make_case([1.0])]
+        with pytest.raises(DimensionError, match="^dimension mismatch: 2 vs 1$"):
+            revise_case_affordance(cases, [1.0, 1.0], eta=eta)
+        assert [c.av_revised for c in cases] == [[1.0, 0.0], [0.0, 1.0], [1.0]]
 
     def test_out_of_range_eta_rejected(self):
         with pytest.raises(InputError):
-            revise_case_affordance(self.make_case([1.0]), [1.0], eta=1.5)
+            revise_case_affordance([self.make_case([1.0])], [1.0], eta=1.5)
 
     @pytest.mark.parametrize("eta", [True, "0.5", None])
     def test_eta_that_is_not_a_number_rejected(self, eta):
         with pytest.raises(InputError, match=r"eta must lie in \[0, 1\]"):
-            revise_case_affordance(self.make_case([1.0]), [1.0], eta=eta)
+            revise_case_affordance([self.make_case([1.0])], [1.0], eta=eta)
 
     def test_step_scales_with_vector_length(self):
         short = self.make_case([1.0, 0.0])
         long = self.make_case([10.0, 0.0])
-        revise_case_affordance(short, [0.0, 1.0], eta=0.5)
-        revise_case_affordance(long, [0.0, 1.0], eta=0.5)
+        revise_case_affordance([short], [0.0, 1.0], eta=0.5)
+        revise_case_affordance([long], [0.0, 1.0], eta=0.5)
         assert long.av_revised[1] == pytest.approx(10 * short.av_revised[1])
 
     def test_endless_aligned_feedback_stays_finite(self, small_case_base, tmp_path):
@@ -792,7 +799,7 @@ class TestReviseCaseAffordance:
         query_av = [1.0, 2.0, 0.0]
         plain = list(case.av_revised)
         for _ in range(5000):
-            revise_case_affordance(case, query_av, eta=0.5)
+            revise_case_affordance([case], query_av, eta=0.5)
             if plain is not None:
                 # the unguarded step, kept while it stays finite
                 scale = 0.5 * math.hypot(*plain)
@@ -817,7 +824,7 @@ class TestReviseCaseAffordance:
         case = small_case_base.cases[0]
         case.av_revised = FOREIGN_DIGITS[:3]
         scale = 0.5 * math.hypot(*FOREIGN_DIGITS[:3])
-        revise_case_affordance(case, [0.0, 2.0, 0.0], eta=0.5)
+        revise_case_affordance([case], [0.0, 2.0, 0.0], eta=0.5)
         # the step moves component 1 only: it is rounded, the others keep all 17 digits
         assert case.av_revised == [FOREIGN_DIGITS[0], round12(FOREIGN_DIGITS[1] + scale), FOREIGN_DIGITS[2]]
         assert round12(case.av_revised[1]) == case.av_revised[1]
@@ -831,7 +838,7 @@ class TestReviseCaseAffordance:
 
 
 class TestReviseMatchesOracle:
-    """The support-only feedback step against the dense one it replaced, bit for bit and by type."""
+    """The pool's support-only feedback step against the dense per-case one it replaced, bit for bit and by type."""
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -847,22 +854,29 @@ class TestReviseMatchesOracle:
             reference[i].av_revised = list(cases[i].av_revised)
         counts = st.integers(0, 6).map(float) | st.just(-0.0)
         query_avs = st.lists(counts, min_size=m, max_size=m) | st.just([0.0] * m)
+        # a pool may list a case more than once
+        pools = st.lists(st.integers(0, len(cases) - 1), min_size=1, max_size=10)
         for _ in range(data.draw(st.integers(0, 25), label="revisions")):
-            i = data.draw(st.integers(0, len(cases) - 1))
+            pool = data.draw(pools)
             query_av = data.draw(query_avs)
-            revise_case_affordance(cases[i], query_av, eta)
-            oracles.revise_case_affordance(reference[i], query_av, eta)
-            assert bits(cases[i].av_revised) == bits(reference[i].av_revised)
+            revise_case_affordance([cases[i] for i in pool], query_av, eta)
+            for i in pool:
+                oracles.revise_case_affordance(reference[i], query_av, eta)
+            assert [bits(cases[i].av_revised) for i in pool] == [bits(reference[i].av_revised) for i in pool]
         assert [bits(c.av_revised) for c in cases] == [bits(c.av_revised) for c in reference]
 
     @pytest.mark.parametrize("eta", [0.5, 1.0])
     @pytest.mark.parametrize("query_av", [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 2.0, 0.0]], ids=["zero", "off", "on"])
     def test_overflowing_scale_rescales(self, eta, query_av):
-        case = Case("d", {"t": 1.0}, [1.0, 1.0, 0.0], [1.7e308, 1.7e308, 0.0])
-        reference = Case("d", {"t": 1.0}, [1.0, 1.0, 0.0], [1.7e308, 1.7e308, 0.0])
-        assert math.hypot(*case.av_revised) == math.inf
-        revise_case_affordance(case, query_av, eta)
-        oracles.revise_case_affordance(reference, query_av, eta)
-        assert bits(case.av_revised) == bits(reference.av_revised)
-        # rescaled to a peak of 1 before the step, so nothing is near 1.7e308
-        assert max(case.av_revised) < 3.0
+        avs = [[1.7e308, 1.7e308, 0.0], [1.0, 0.0, 2.0], [0.0, 0.0, 0.0]]
+        # the huge case alone, among others, and listed three times
+        for pool in ([0], [1, 0, 2], [0, 1, 0, 0]):
+            cases = [Case(f"d{i}", {"t": 1.0}, [1.0, 1.0, 0.0], list(av)) for i, av in enumerate(avs)]
+            reference = [Case(f"d{i}", {"t": 1.0}, [1.0, 1.0, 0.0], list(av)) for i, av in enumerate(avs)]
+            assert math.hypot(*cases[0].av_revised) == math.inf
+            revise_case_affordance([cases[i] for i in pool], query_av, eta)
+            for i in pool:
+                oracles.revise_case_affordance(reference[i], query_av, eta)
+            assert [bits(c.av_revised) for c in cases] == [bits(c.av_revised) for c in reference]
+            # rescaled to a peak of 1 before its first step, so nothing is near 1.7e308
+            assert max(cases[0].av_revised) < 100.0

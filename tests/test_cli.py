@@ -596,8 +596,7 @@ class TestCaseBaseFuzz:
                 pool = retrieve_top_k(tokens, index, cb, cb.config.k_retrieve)
                 query_av = compute_query_affordance(tokens, cb.lexicon)
                 rerank(pool, query_av, cb, alpha=0.5, use_revised=True)
-                for candidate in pool:
-                    revise_case_affordance(candidate.case, query_av, eta=0.5)
+                revise_case_affordance([candidate.case for candidate in pool], query_av, eta=0.5)
         except CaseBaseFormatError as exc:
             assert "too large to recover its tf" in str(exc)
             return

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from affret import (
     run_experiment,
 )
 
+import oracles
 from conftest import TOURISM_WORDS, write_corpus
 
 
@@ -154,6 +156,36 @@ class TestCompareRankings:
         assert mine == pytest.approx(reference, abs=1e-12)
 
 
+# ids with non-ASCII letters, digits and a space, so they differ in more than their position
+doc_ids = st.text(st.sampled_from("ab7 éßж京🙂"), min_size=1, max_size=4)
+
+
+class TestKendallMatchesOracle:
+    """Discordant pairs counted in C against both kinds counted one by one, bit for bit."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_count(self, data):
+        # n drawn first: a list strategy alone seldom draws past 20 elements
+        n = data.draw(st.integers(0, 40), label="n")
+        baseline = data.draw(st.lists(doc_ids, min_size=n, max_size=n, unique=True), label="baseline")
+        final = data.draw(st.permutations(baseline), label="final")
+        assert compare_rankings(baseline, final).hex() == oracles.compare_rankings(baseline, final).hex()
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rejects_what_the_oracle_rejects(self, data):
+        baseline = data.draw(st.lists(doc_ids, min_size=0, max_size=12), label="baseline")
+        final = data.draw(st.lists(doc_ids, min_size=0, max_size=12) | st.permutations(baseline), label="final")
+        try:
+            expected = oracles.compare_rankings(baseline, final)
+        except InputError as exc:
+            with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+                compare_rankings(baseline, final)
+        else:
+            assert compare_rankings(baseline, final).hex() == expected.hex()
+
+
 @pytest.fixture
 def shift_setup(tmp_path, lexicon3):
     """Three docs lexically matching "beach"; the weakest lexical match is the
@@ -240,18 +272,21 @@ class TestRunExperiment:
         cb, index = shift_setup
         calls = []
 
-        def counting(case, query_av, rate):
-            calls.append(case.doc_id)
-            return revise_case_affordance(case, query_av, rate)
+        def counting(cases, query_av, rate):
+            calls.append([case.doc_id for case in cases])
+            return revise_case_affordance(cases, query_av, rate)
 
         monkeypatch.setattr("affret.harness.revise_case_affordance", counting)
         blocks = [topic_block("Q1", "temple visit"), topic_block("Q2", "beach"), topic_block("Q3", "zzzqqq")]
         queries = load_queries(write_queries(tmp_path, blocks))
         report = run_experiment(cb, index, queries, BuildConfig(eta=eta))
-        # each pool member once, in query order and then in baseline order
-        pools = [e.doc_id for _, e in sorted(report.rows, key=lambda row: (row[0], row[1].baseline_rank))]
-        assert len(pools) == 5
-        assert calls == (pools if eta else [])
+        # one call per query with a non-empty pool (Q3 has none), in query order, each with its pool in baseline order
+        pools = {}
+        for query_id, entry in sorted(report.rows, key=lambda row: (row[0], row[1].baseline_rank)):
+            pools.setdefault(query_id, []).append(entry.doc_id)
+        assert list(pools) == ["Q1", "Q2"]
+        assert sum(map(len, pools.values())) == 5
+        assert calls == (list(pools.values()) if eta else [])
 
     def test_feedback_equals_per_candidate_revisions(self, tmp_path, lexicon3):
         rng = random.Random(7)
@@ -272,7 +307,7 @@ class TestRunExperiment:
             query_av = compute_query_affordance(query.title, expected.lexicon)
             for cand in retrieve_top_k(query.title, expected_index, expected, config.k_retrieve):
                 peak = max(cand.case.av_revised)
-                revise_case_affordance(cand.case, query_av, config.eta)
+                oracles.revise_case_affordance(cand.case, query_av, config.eta)
                 # a non-negative step never lowers a component; only the rescale does
                 rescaled += max(cand.case.av_revised) < peak
         assert rescaled

@@ -22,9 +22,11 @@ from affret import (
     Lexicon,
     Topic,
     baseline_score,
+    build_case,
     build_index,
     cosine_sim,
     load_case_base,
+    parse_document,
     populate_case_base,
     rerank,
     retrieve_top_k,
@@ -114,6 +116,31 @@ class TestBuildIndex:
             save_case_base(cb, tmp_path / "cb.jsonl")
             with pytest.raises(CaseBaseFormatError, match=on_load):
                 load_case_base(tmp_path / "cb.jsonl")
+
+    @pytest.mark.parametrize(
+        ("n_cases", "df"),
+        # at the bare idf formula: a division by zero (N = 0 makes every idf 0, df = -1 divides by
+        # 1 + df), and the log of a negative number
+        [(0, 1), (3, -1), (3, -3)],
+        ids=["no-cases", "df-minus-one", "df-minus-three"],
+    )
+    def test_stats_without_a_positive_idf_are_a_format_error_in_every_view(self, n_cases, df):
+        stats = CorpusStats(df={"beach": df}, n_cases=n_cases)
+        cb = CaseBase(
+            cases=[Case(doc_id="d", prob_desc={"beach": 1.0}, av=[1.0], av_revised=[1.0])],
+            corpus_stats=stats,
+            lexicon=MISC_ONLY,
+            config=BuildConfig(),
+        )
+        views = {
+            "query": lambda: retrieve_top_k(["beach"], build_index(cb), cb, 1),
+            "baseline_score": lambda: baseline_score(["beach"], cb.cases[0], build_index(cb)),
+            "build_case": lambda: build_case(parse_document(b"<p>beach</p>", "e"), MISC_ONLY, BuildConfig(), stats),
+        }
+        message = f"^corpus stats need N >= 1 and every df >= 0, got N {n_cases} and df {df}$"
+        for view in views.values():
+            with pytest.raises(CaseBaseFormatError, match=message):
+                view()
 
     def test_description_insertion_order_is_irrelevant(self, small_case_base):
         shuffled = CaseBase(
