@@ -439,7 +439,8 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
         if type(n) is not int or set(map(type, dfs)) - {int}:
             raise TypeError("N and every df must be integers")
         # selection_idf divides by N as a float, and is positive only for
-        # N >= 1 and every df in [0, N]
+        # N >= 1 and every df in [0, N]; CorpusStats._idf_by_df guards the
+        # same N >= 1 and df >= 0 for hand-built stats, so change both together
         if not 1 <= n <= sys.float_info.max or min(dfs, default=0) < 0 or max(dfs, default=0) > n:
             raise ValueError(f"need 1 <= N <= {sys.float_info.max:.4g} and 0 <= df <= N, N is {n}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

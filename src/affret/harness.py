@@ -118,9 +118,9 @@ def compare_rankings(baseline_order: list[str], final_order: list[str]) -> float
     +1 for identical orders, -1 for a full reversal; a singleton (or empty)
     set compares as 1. Each pair of doc_ids is discordant when the final
     order reverses it; the pairs are counted in C, and tau-a is
-    ``(pairs - 2 * discordant) / (n * (n - 1) / 2)``, the same integer
-    numerator (concordant minus discordant) over the same float denominator
-    as counting both kinds pair by pair.
+    ``(pairs - 2 * discordant) / pairs``, the same correctly rounded
+    quotient of concordant minus discordant over the pair count as counting
+    both kinds pair by pair.
     """
     baseline_ids, final_ids = set(baseline_order), set(final_order)
     if len(baseline_order) != len(baseline_ids) or len(final_order) != len(final_ids):
@@ -133,7 +133,7 @@ def compare_rankings(baseline_order: list[str], final_order: list[str]) -> float
     position = dict(zip(final_order, range(n)))
     discordant = sum(starmap(gt, combinations(map(position.__getitem__, baseline_order), 2)))
     pairs = n * (n - 1) // 2
-    return (pairs - 2 * discordant) / (n * (n - 1) / 2)
+    return (pairs - 2 * discordant) / pairs
 
 
 def _precision_at_k(order: list[str], query_id: str, qrels: dict[tuple[str, str], int], k: int) -> float:
