@@ -27,9 +27,11 @@ save writes and keeps each value as decoded, so a case base that affret did
 not write keeps whatever digits its values carry, and an integer stays an
 integer, until feedback moves them; a value of the wrong type is rejected,
 and so is a description weight whose tf ``recover_tfs`` cannot give back.
-Save converts each distinct description weight to its JSON text once per
-call and splices each case line from those texts; the bytes stay the ones
-that encoding each record whole writes.
+Load decodes each case line once; ``json.loads`` decides a line that is not
+one bare record, so blanks around it, a BOM or trailing text get its outcome
+and message. Save converts each distinct description weight to its JSON
+text once per call and splices each case line from those texts; the bytes
+stay the ones that encoding each record whole writes.
 """
 
 from __future__ import annotations
@@ -386,12 +388,18 @@ def save_case_base(cb: CaseBase, path: str | Path) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
+# the decoder json.loads uses, without its whitespace and trailing-text checks
+_DECODER = json.JSONDecoder()
+
+
 def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase:
     """Read a saved case base; verify fingerprint when an active lexicon is given.
 
     Reads only save_case_base's layout: the header, a case per line, then the
     corpus stats and the lexicon. Values are kept as decoded, so each must
-    already have the type save writes; a bool is not a number.
+    already have the type save writes; a bool is not a number. Each case line
+    is decoded once; a line that is not one bare JSON object, such as one with
+    blanks around it, goes to ``json.loads``, whose outcome and message it gets.
     """
     try:
         raw_lines = read_text(path, CaseBaseFormatError).split("\n")
@@ -461,38 +469,45 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
 
     cases: list[Case] = []
     case_lines: dict[str, int] = {}
+    decode = _DECODER.raw_decode
     for lineno, line in enumerate(raw_lines[1:-2], start=2):
-        record = parse_line(line, lineno)
+        # json.loads decides a line that raw_decode rejects, stops short of or
+        # reads as no object: it may hold blanks, a BOM or trailing text
+        try:
+            record, end = decode(line)
+        except (ValueError, RecursionError):
+            end = -1
+        if end != len(line) or type(record) is not dict:
+            record = parse_line(line, lineno)
         if "doc_id" not in record:
             raise CaseBaseFormatError(f"{path}: unrecognized record at line {lineno}")
-        if not isinstance(record["doc_id"], str):
+        doc_id = record["doc_id"]
+        if not isinstance(doc_id, str):
             raise CaseBaseFormatError(f"{path}: doc_id at line {lineno} is not a string")
         try:
-            if type(record["prob_desc"]) is not list:  # dict() would take a JSON object too
+            prob_desc = record["prob_desc"]
+            if type(prob_desc) is not list:  # dict() would take a JSON object too
                 raise TypeError("prob_desc is not a list")
-            case = Case(
-                doc_id=record["doc_id"],
-                prob_desc=dict(record["prob_desc"]),
-                av=record["av"],
-                av_revised=record["av_revised"],
-            )
+            prob_desc = dict(prob_desc)
+            av = record["av"]
+            av_revised = record["av_revised"]
             # one C-level join rejects a term that is not a string, and a sum
             # from 0.0 a value that is not a number or is too large for a float
-            "".join(case.prob_desc)
-            weight_total = sum(case.prob_desc.values(), 0.0)
-            total = sum(case.av, sum(case.av_revised, weight_total))
+            "".join(prob_desc)
+            weights = prob_desc.values()
+            weight_total = sum(weights, 0.0)
+            total = sum(av, sum(av_revised, weight_total))
             # the sum takes a bool as a number; only a line that spells one is searched
             if "true" in line or "false" in line:
-                if any(type(v) is bool for v in (*case.prob_desc.values(), *case.av, *case.av_revised)):
+                if any(type(v) is bool for v in (*weights, *av, *av_revised)):
                     raise TypeError("true and false are not numbers")
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise CaseBaseFormatError(f"{path}: malformed case at line {lineno} ({exc})") from exc
-        if not case.prob_desc:
-            raise CaseBaseFormatError(f"{path}: case {case.doc_id!r} at line {lineno} has an empty prob_desc")
-        if len(case.av) != m or len(case.av_revised) != m:
-            raise CaseBaseFormatError(
-                f"{path}: case {case.doc_id!r} has dimension {len(case.av)}, header says {m}"
-            )
+        case = Case(doc_id, prob_desc, av, av_revised)
+        if not prob_desc:
+            raise CaseBaseFormatError(f"{path}: case {doc_id!r} at line {lineno} has an empty prob_desc")
+        if len(av) != m or len(av_revised) != m:
+            raise CaseBaseFormatError(f"{path}: case {doc_id!r} has dimension {len(av)}, header says {m}")
         # JSON Infinity, NaN and 1e999 load as inf or nan, which make any sum
         # non-finite; only such a sum (finite values reach one by overflow too)
         # is checked value by value
@@ -500,17 +515,15 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
             _reject_non_finite(case, path, lineno)
         # the sum of weights none of which is negative bounds each of them;
         # a line that holds no "-" holds no negative number
-        if weight_total > _RECOVERABLE_WEIGHT or ("-" in line and min(case.prob_desc.values()) < 0):
+        if weight_total > _RECOVERABLE_WEIGHT or ("-" in line and min(weights) < 0):
             try:
-                for term, weight in case.prob_desc.items():
+                for term, weight in prob_desc.items():
                     recover_tfs(term, (weight,), stats)
             except CaseBaseFormatError as exc:
                 raise CaseBaseFormatError(f"{path}: line {lineno}: {exc}") from exc
-        first = case_lines.setdefault(case.doc_id, lineno)
+        first = case_lines.setdefault(doc_id, lineno)
         if first != lineno:
-            raise CaseBaseFormatError(
-                f"{path}: duplicate doc_id {case.doc_id!r} at lines {first} and {lineno}"
-            )
+            raise CaseBaseFormatError(f"{path}: duplicate doc_id {doc_id!r} at lines {first} and {lineno}")
         cases.append(case)
 
     # a JSON "\udce9" escape loads as a lone surrogate, which no report can

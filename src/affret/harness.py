@@ -100,16 +100,22 @@ def load_queries(path: str | Path, stop_words: frozenset[str] = DEFAULT_STOPWORD
 
 
 def load_qrels(path: str | Path) -> dict[tuple[str, str], int]:
-    """Relevance judgments: one `query_id<TAB>doc_id<TAB>0|1` per line."""
-    qrels: dict[tuple[str, str], int] = {}
+    """Relevance judgments: one `query_id<TAB>doc_id<TAB>0|1` per line; a pair judged twice must agree."""
+    judged: dict[tuple[str, str], tuple[int, int]] = {}
     for lineno, line in enumerate(read_text(path, QueryFormatError).split("\n"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 3 or parts[2] not in ("0", "1"):
             raise QueryFormatError(f"{path}: line {lineno}: expected 'query_id<TAB>doc_id<TAB>0|1'")
-        qrels[(parts[0], parts[1])] = int(parts[2])
-    return qrels
+        label = int(parts[2])
+        held, first = judged.setdefault((parts[0], parts[1]), (label, lineno))
+        if held != label:
+            raise QueryFormatError(
+                f"{path}: lines {first} and {lineno} judge query {parts[0]!r}, document {parts[1]!r}"
+                f" differently ({held} and {label})"
+            )
+    return {pair: label for pair, (label, _) in judged.items()}
 
 
 def compare_rankings(baseline_order: list[str], final_order: list[str]) -> float:

@@ -735,6 +735,26 @@ class TestSaveMatchesOracle:
         assert new.read_bytes() == reference.read_bytes()
 
 
+class TestLoadDecodePaths:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_blanks_around_case_lines_load_the_same_base(self, built_bases, tmp_path, data):
+        # load decodes a bare case line itself and hands a wrapped one to json.loads
+        plain = tmp_path / "plain.jsonl"
+        save_case_base(built_bases[data.draw(st.sampled_from(sorted(built_bases)), label="base")], plain)
+        lines = plain.read_text(encoding="utf-8").split("\n")
+        blanks = st.text(st.sampled_from(" \t"), max_size=3)
+        for i in range(1, len(lines) - 3):
+            if data.draw(st.booleans(), label=f"wrap line {i + 1}"):
+                lines[i] = data.draw(blanks) + lines[i] + data.draw(blanks)
+        wrapped = tmp_path / "wrapped.jsonl"
+        wrapped.write_text("\n".join(lines), encoding="utf-8")
+        expected, loaded = load_case_base(plain), load_case_base(wrapped)
+        assert loaded.cases == expected.cases
+        assert loaded.corpus_stats == expected.corpus_stats
+        assert loaded.lexicon == expected.lexicon
+
+
 class TestReviseCaseAffordance:
     def make_case(self, av):
         return Case(doc_id="d", prob_desc={"t": 1.0}, av=list(av), av_revised=list(av))

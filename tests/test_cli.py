@@ -381,6 +381,13 @@ def _set_case(key, value):
     return edit
 
 
+def _set_case_line(value):
+    def edit(records):
+        records[1] = value
+
+    return edit
+
+
 def _all_integer_case(records):
     records[1]["prob_desc"] = [[term, 2] for term, _ in records[1]["prob_desc"]]
     records[1]["av"] = [1, 10**400, 0]
@@ -402,6 +409,20 @@ def _drop_stats(records):
 def _deeply_nested_case(records):
     # deeper than any interpreter's recursion limit for decoding JSON
     records[1] = _Raw("[" * 100_000 + "]" * 100_000)
+
+
+def _wrap_case(before, after):
+    """Write the first case record as JSON with ``before`` and ``after`` around it."""
+
+    def edit(records):
+        records[1] = _Raw(before + json.dumps(records[1], sort_keys=True) + after)
+
+    return edit
+
+
+def _doubled_case(records):
+    text = json.dumps(records[1], sort_keys=True)
+    records[1] = _Raw(text + text)
 
 
 def _set_topic(index, key, value):
@@ -467,6 +488,12 @@ class TestMalformedCaseBase:
             (_set_topic(-1, "miscellaneous", 1), f"malformed lexicon at line 6 ({TOPIC_TYPES})"),
             (_surrogate_lexicon_term, "malformed lexicon at line 6 ('utf-8' codec can't encode character '\\udce9'"),
             (_deeply_nested_case, "line 2 is not valid JSON (maximum recursion depth exceeded"),
+            (_wrap_case("\ufeff", ""), "line 2 is not valid JSON (Unexpected UTF-8 BOM"),
+            (_wrap_case("", " x"), "line 2 is not valid JSON (Extra data"),
+            (_doubled_case, "line 2 is not valid JSON (Extra data"),
+            (_wrap_case("", "\xa0"), "line 2 is not valid JSON (Extra data"),
+            (_set_case_line([1, 2]), "line 2 is not an object"),
+            (_set_case_line("a.html"), "line 2 is not an object"),
         ],
         ids=[
             "no-df", "list-df", "nameless-topic", "list-doc-id", "surrogate-doc-id", "m-str", "m-float", "m-bool", "N-str", "N-null",
@@ -475,7 +502,8 @@ class TestMalformedCaseBase:
             "all-int-too-large", "av-digit-string", "av-object", "prob-desc-object", "weight-underscore-string",
             "weight-true", "weight-too-large", "weight-too-negative", "df-float", "stats-N-str", "stats-among-cases", "case-after-lexicon", "no-stats",
             "k-terms-float", "topic-name-int", "topic-terms-str", "topic-miscellaneous-int", "surrogate-lexicon-term",
-            "deeply-nested-case",
+            "deeply-nested-case", "bom-case", "text-after-case", "two-cases-on-a-line", "no-break-space-after-case",
+            "array-case", "string-case",
         ],
     )
     def test_malformed_record_is_a_format_error(self, workspace, capsys, edit, message):

@@ -114,6 +114,18 @@ class TestLoadQrels:
         qrels = load_qrels(path)
         assert qrels == {("Q1", "a.html"): 1, ("Q1", "b.html"): 0, ("Q2", "a.html"): 1}
 
+    def test_identical_repeats_accepted(self, tmp_path):
+        path = tmp_path / "qrels.tsv"
+        path.write_text("Q1\ta.html\t1\nQ1\tb.html\t0\nQ1\ta.html\t1\nQ1\tb.html\t0\n", encoding="utf-8")
+        assert load_qrels(path) == {("Q1", "a.html"): 1, ("Q1", "b.html"): 0}
+
+    def test_conflicting_judgments_rejected(self, tmp_path):
+        path = tmp_path / "qrels.tsv"
+        path.write_text("T1\td1\t1\n# note\nT1\td2\t1\nT1\td1\t0\n", encoding="utf-8")
+        message = "lines 1 and 4 judge query 'T1', document 'd1' differently (1 and 0)"
+        with pytest.raises(QueryFormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+            load_qrels(path)
+
     @pytest.mark.parametrize("line", ["Q1\ta.html", "Q1\ta.html\t2", "Q1 a.html 1"])
     def test_malformed_lines_rejected(self, tmp_path, line):
         path = tmp_path / "qrels.tsv"
