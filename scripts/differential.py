@@ -6,7 +6,8 @@ the repository root:
 
     PYTHONPATH=src python -S scripts/differential.py --seed 1 --rounds 1000
 
-Each round makes two checks, with inputs drawn from ``random.Random(seed)``:
+Each round makes two checks, and every tenth round a third, with inputs
+drawn from ``random.Random(seed)``:
 
 - segment: a page spliced from ``tests/markup_pieces.py`` (the walk's own
   subset, then tag soup from the families that make it hand the page to
@@ -17,7 +18,12 @@ Each round makes two checks, with inputs drawn from ``random.Random(seed)``:
   another JSON value, a cut line). The file must load exactly when
   ``json.loads`` reads every case line as an object, then to the plain
   file's case base; otherwise it must fail at the first other line, with
-  the message ``json.loads`` gives for it.
+  the message ``json.loads`` gives for it;
+- listing: a corpus tree of files and directories named from
+  ``tests/oracles.CORPUS_NAMES``, nested up to three deep, with a symlink
+  (to a page, a directory, the root, itself or nothing) and a FIFO where the
+  platform makes them. The build's ``os.scandir`` walk must list the pages,
+  ids and paths, that ``tests/oracles.corpus_files`` (``rglob``) lists.
 
 Exits 1 at the first mismatch, printing the seed, the round and the input.
 """
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import tempfile
@@ -38,7 +45,7 @@ import oracles  # noqa: E402
 from markup_pieces import SOUP_ENDS, SOUP_GROUPS, SUBSET_PIECES  # noqa: E402
 
 from affret import BuildConfig, CaseBaseFormatError, ParseError  # noqa: E402
-from affret.casebase import load_case_base, populate_case_base, save_case_base  # noqa: E402
+from affret.casebase import _corpus_files, load_case_base, populate_case_base, save_case_base  # noqa: E402
 from affret.lexicon import load_lexicon  # noqa: E402
 from affret.segmenter import extract_block_text, parse_document, segment_blocks  # noqa: E402
 
@@ -121,6 +128,44 @@ def check_load(rng: random.Random, plain_lines: list[str], plain, path: Path) ->
         raise Mismatch("load", text, expected, got)
 
 
+LISTING_EVERY = 10
+
+
+def check_listing(rng: random.Random, root: Path, links: bool) -> None:
+    dirs = [root]
+    entries = []
+    for _ in range(rng.randint(1, 12)):
+        parent = rng.choice(dirs)
+        path = parent / rng.choice(oracles.CORPUS_NAMES)
+        if os.path.lexists(path):
+            continue
+        if len(dirs) < 4 and len(path.relative_to(root).parts) < 3 and rng.random() < 0.3:
+            path.mkdir()
+            dirs.append(path)
+        else:
+            path.write_text("<p>beach</p>", encoding="utf-8")
+        entries.append(path)
+    link = rng.choice(dirs) / rng.choice(oracles.CORPUS_NAMES)
+    if links and not os.path.lexists(link):
+        os.symlink(rng.choice([*entries, root, link, root / "missing.html"]), link)
+    fifo = rng.choice(dirs) / rng.choice(oracles.CORPUS_NAMES)
+    if hasattr(os, "mkfifo") and not os.path.lexists(fifo) and rng.random() < 0.3:
+        os.mkfifo(fifo)
+    expected = [(doc_id, str(path)) for doc_id, path in oracles.corpus_files(root)]
+    got = _corpus_files(root)
+    if got != expected:
+        tree = sorted(str(p.relative_to(root)) + ("@" if p.is_symlink() else "") for p in root.rglob("*"))
+        raise Mismatch("listing", tree, expected, got)
+
+
+def symlinks_work(tmp: str) -> bool:
+    try:
+        os.symlink("target", Path(tmp) / "probe")
+    except (OSError, NotImplementedError):
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
@@ -135,14 +180,18 @@ def main(argv: list[str] | None = None) -> int:
         loaded = load_case_base(plain_path)
         plain = (loaded.cases, loaded.corpus_stats, loaded.lexicon, loaded.config)
         plain_lines = plain_path.read_text(encoding="utf-8").split("\n")
+        links = symlinks_work(tmp)
         for round_no in range(args.rounds):
             try:
                 check_segment(rng)
                 check_load(rng, plain_lines, plain, path)
+                if round_no % LISTING_EVERY == 0:
+                    with tempfile.TemporaryDirectory(dir=tmp) as root:
+                        check_listing(rng, Path(root), links)
             except Mismatch as exc:
                 print(f"seed {args.seed}, round {round_no}: {exc}")
                 return 1
-    print(f"seed {args.seed}: {args.rounds} rounds, segment and load match their references")
+    print(f"seed {args.seed}: {args.rounds} rounds, segment, load and listing match their references")
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+from operator import add
 from typing import NamedTuple
 
 from .errors import DimensionError
@@ -35,8 +36,7 @@ def compute_doc_affordance(block_avs: list[AffordanceVector]) -> AffordanceVecto
     for av in block_avs:
         if len(av) != width:
             raise DimensionError(f"block vector has dimension {len(av)}, expected {width}")
-        for i, v in enumerate(av):
-            total[i] += v
+        total = list(map(add, total, av))
     return total
 
 

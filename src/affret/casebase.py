@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import sys
 from collections import Counter
 from collections.abc import Callable, Iterable
@@ -284,13 +285,39 @@ def build_case(
     return None if description is None else _cases([(doc.doc_id, *description)], config.k_terms, corpus_stats)[0]
 
 
-def _corpus_files(corpus_dir: Path) -> list[tuple[str, Path]]:
-    files = [
-        (p.relative_to(corpus_dir).as_posix(), p)
-        for p in corpus_dir.rglob("*")
-        if p.is_file() and p.suffix.lower() in (".html", ".htm")
-    ]
-    files.sort(key=lambda item: item[0])
+def _corpus_files(corpus_dir: Path) -> list[tuple[str, str]]:
+    """The corpus's pages as (doc_id, path) pairs, sorted by doc_id.
+
+    One ``os.scandir`` walk, which reads each directory's entry types with
+    its listing, gives the pages that ``rglob("*")`` filtered by ``is_file``
+    and ``Path.suffix`` gives; ``populate_case_base`` states the rule.
+    """
+    files: list[tuple[str, str]] = []
+    stack = [("", str(corpus_dir))]
+    while stack:
+        prefix, directory = stack.pop()
+        try:
+            with os.scandir(directory) as listing:
+                entries = list(listing)
+        except OSError as exc:
+            if not prefix:
+                raise InputError(f"cannot list corpus directory {corpus_dir}: {exc}") from exc
+            logger.warning("skipping %s: %s", prefix, exc)
+            continue
+        for entry in entries:
+            name = entry.name
+            if entry.is_dir(follow_symlinks=False):
+                stack.append((f"{prefix}{name}/", entry.path))
+            elif (
+                # Path.suffix's rule; a dot that ends the name gives ".", never a page suffix
+                (dot := name.rfind(".")) > 0
+                and name[dot:].lower() in (".html", ".htm")
+                # os.path.isfile follows a link and reads a broken or looping one as no file,
+                # where DirEntry.is_file() raises on a loop; a plain entry costs no stat
+                and (entry.is_file(follow_symlinks=False) or (entry.is_symlink() and os.path.isfile(entry.path)))
+            ):
+                files.append((prefix + name, entry.path))
+    files.sort()
     return files
 
 
@@ -301,6 +328,12 @@ def populate_case_base(
     stop_words: frozenset[str] = DEFAULT_STOPWORDS,
 ) -> CaseBase:
     """Two-pass batch build over a directory of .html/.htm files.
+
+    Pages are found recursively: every file whose name ends in ``.html`` or
+    ``.htm`` in any case, a symlinked page too; a symlinked directory is not
+    entered. A page's doc_id is its path below ``corpus_dir``, with ``/``. A
+    subdirectory that cannot be listed is skipped with a logged warning; a
+    ``corpus_dir`` that cannot be listed raises ``InputError``.
 
     Pass 1 describes every document in sorted doc_id order (its blocks' term
     counts and its affordance vector) and accumulates document frequencies;
@@ -320,8 +353,10 @@ def populate_case_base(
     df: Counter = Counter()
     described: list[tuple[str, dict[str, int], list[Counter], AffordanceVector]] = []
     for doc_id, path in _corpus_files(corpus_dir):
+        with open(path, "rb") as page:
+            raw = page.read()
         try:
-            description = _describe(parse_document(path.read_bytes(), doc_id), lexicon, config.tau, stop_words)
+            description = _describe(parse_document(raw, doc_id), lexicon, config.tau, stop_words)
         except ParseError as exc:
             # each ParseError names the page first; the log line names it once
             logger.warning("skipping %s: %s", doc_id, str(exc).removeprefix(f"{doc_id}: "))

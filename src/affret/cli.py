@@ -42,7 +42,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser("build", parents=[stop_words], help="segment a corpus and persist its case base")
     build.set_defaults(run=_cmd_build)
-    build.add_argument("--corpus", required=True, help="directory of .html/.htm files")
+    build.add_argument(
+        "--corpus",
+        required=True,
+        help="directory of .html/.htm pages (any case), read recursively; a symlinked page is read, a symlinked"
+        " directory is not entered; a page's doc_id is its path below the directory, with '/'; a subdirectory"
+        " that cannot be listed is a logged skip",
+    )
     build.add_argument("--lexicon", required=True, help="topic lexicon file (TSV)")
     build.add_argument("--out", required=True, help="case base output path")
     _dial(build, "--k-terms", "k_terms", "top terms kept per block")

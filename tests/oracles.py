@@ -436,6 +436,18 @@ def save_case_base_as_held(cb, path) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
+def compute_doc_affordance(block_avs: list[list[float]]) -> list[float]:
+    """Reference ``affordance.compute_doc_affordance``: the per-component loop, block by block."""
+    width = len(block_avs[0]) if block_avs else 0
+    total = [0.0] * width
+    for av in block_avs:
+        if len(av) != width:
+            raise DimensionError(f"block vector has dimension {len(av)}, expected {width}")
+        for i, v in enumerate(av):
+            total[i] += v
+    return total
+
+
 def cosine_to_unit(unit: list[float], b: list[float]) -> float:
     """Reference ``affordance.cosine_to_unit``: dense, over every component of ``normalize_av(b)``."""
     if len(unit) != len(b):
@@ -489,3 +501,21 @@ def compare_rankings(baseline_order: list[str], final_order: list[str]) -> float
             else:
                 discordant += 1
     return (concordant - discordant) / (n * (n - 1) / 2)
+
+
+# names the corpus_files rule tells apart: a page suffix in any case, a bare
+# ".html" (no suffix), "...html" (one), and a page suffix that does not end the name
+CORPUS_NAMES = (
+    "a.html", "b.htm", "C.HTM", "d.Html", ".html", "...html", "x.html.bak", "y.htm.", "notes.txt", "dir.html",
+)
+
+
+def corpus_files(corpus_dir: Path) -> list[tuple[str, Path]]:
+    """The corpus's pages by pathlib: every file below it whose suffix is .html or .htm in any case."""
+    files = [
+        (p.relative_to(corpus_dir).as_posix(), p)
+        for p in corpus_dir.rglob("*")
+        if p.is_file() and p.suffix.lower() in (".html", ".htm")
+    ]
+    files.sort(key=lambda item: item[0])
+    return files

@@ -61,6 +61,42 @@ class TestDocAffordance:
             compute_doc_affordance([[1.0, 2.0], [1.0]])
 
 
+# any float, with the edges pinned: zeros of both signs, infinities (whose
+# sum with the other sign is nan) and nan
+sum_components = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7e308]) | st.floats()
+
+
+@st.composite
+def block_vector_lists(draw):
+    """0-12 block vectors of one drawn width; now and then one of another width among them."""
+    m = draw(st.integers(0, 19), label="m")
+    avs = draw(st.lists(st.lists(sum_components, min_size=m, max_size=m), max_size=12), label="blocks")
+    if avs and draw(st.booleans(), label="one of another width"):
+        other = draw(st.integers(0, 19).filter(lambda w: w != m), label="width")
+        avs.insert(draw(st.integers(0, len(avs))), draw(st.lists(sum_components, min_size=other, max_size=other)))
+    return avs
+
+
+def sum_outcome(compute, avs):
+    """The sum's components bit for bit, or the error's message."""
+    try:
+        return [bits(v) for v in compute(avs)]
+    except DimensionError as exc:
+        return str(exc)
+
+
+class TestDocAffordanceMatchesOracle:
+    """The per-block C-level add against the per-component loop it replaced, bit for bit."""
+
+    @given(block_vector_lists())
+    @example([[-0.0, math.inf], [-0.0, -math.inf]])
+    @example([[math.nan, 1.0], [1.0, math.nan]])
+    @example([[1.0, 2.0], [3.0], [4.0, 5.0]])
+    @settings(max_examples=300, deadline=None)
+    def test_sum(self, avs):
+        assert sum_outcome(compute_doc_affordance, avs) == sum_outcome(oracles.compute_doc_affordance, avs)
+
+
 class TestQueryAffordance:
     def test_same_rule_as_blocks(self, lexicon_no_misc):
         av = compute_query_affordance(["beach", "resorts", "goa"], lexicon_no_misc)

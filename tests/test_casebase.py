@@ -6,6 +6,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import re
 from collections import Counter
 from pathlib import Path
@@ -416,6 +417,68 @@ class TestPopulateCaseBase:
             spared = populate_case_base(corpus, lexicon, BuildConfig(), stop_words=frozenset({"a", "the"}))
         assert not caplog.records
         assert spared.cases[0].av == [1.0, 1.0, 2.0, 1.0]
+
+
+def plant(link: Path, target: str) -> bool:
+    """A symlink at ``link`` to ``target``, or False where the platform refuses one."""
+    try:
+        os.symlink(target, link)
+    except (OSError, NotImplementedError):
+        return False
+    return True
+
+
+class TestCorpusDiscovery:
+    """The scandir walk against the rglob rule it replaced, on a tree of the names that rule tells apart."""
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        """The corpus and the doc ids it must give, in order."""
+        root = tmp_path / "corpus"
+        files = [name for name in oracles.CORPUS_NAMES if name != "dir.html"]
+        files += ["dir.html/inner.html", "sub/s.html", "sub/deeper/t.htm", "sub/deeper/u.txt"]
+        write_corpus(root, dict.fromkeys(files, "<p>beach sand</p>"))
+        ids = ["...html", "C.HTM", "a.html", "b.htm", "d.Html", "dir.html/inner.html", "sub/deeper/t.htm", "sub/s.html"]
+        # a symlinked directory (and a loop back to the root) is not entered; a
+        # symlinked page is read; a broken or looping link, or a link to a
+        # directory, is no page
+        if plant(root / "link.html", "sub/s.html"):
+            ids.append("link.html")
+        for name, target in [
+            ("linkdir", "sub"),
+            ("self", "."),
+            ("dirlink.html", "sub"),
+            ("broken.html", "missing.html"),
+            ("loop.html", "loop.html"),
+        ]:
+            plant(root / name, target)
+        if hasattr(os, "mkfifo"):
+            os.mkfifo(root / "fifo.html")
+        name = os.fsdecode(b"caf\xe9.html")
+        try:
+            (root / name).write_text("<p>beach sand</p>", encoding="utf-8")
+            ids.append(name)
+        except (OSError, UnicodeError):
+            pass
+        return root, sorted(ids)
+
+    def test_doc_ids_match_the_rglob_rule(self, tree):
+        root, ids = tree
+        listed = casebase._corpus_files(root)
+        assert [doc_id for doc_id, _ in listed] == ids
+        assert listed == [(doc_id, str(path)) for doc_id, path in oracles.corpus_files(root)]
+
+    def test_a_corpus_reached_through_a_symlink_lists_alike(self, tree, tmp_path):
+        root, ids = tree
+        if not plant(tmp_path / "linked", str(root)):
+            pytest.skip("the platform refuses a symlink")
+        assert [doc_id for doc_id, _ in casebase._corpus_files(tmp_path / "linked")] == ids
+
+    def test_build_reads_every_listed_page(self, tree, lexicon3):
+        root, ids = tree
+        cb = populate_case_base(root, lexicon3, BuildConfig())
+        # a file name that is not UTF-8 is listed, then skipped by the build
+        assert [c.doc_id for c in cb.cases] == [doc_id for doc_id in ids if "\udce9" not in doc_id]
 
 
 class TestBuildCaseAgreesWithPopulate:

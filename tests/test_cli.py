@@ -75,6 +75,20 @@ def build_args(ws, **extra):
     return args
 
 
+def refuse_listing(monkeypatch, directory) -> PermissionError:
+    """Make ``os.scandir`` refuse ``directory``, as a mode without read access would for any user but root."""
+    denied = PermissionError(13, "Permission denied", str(directory))
+    scandir = os.scandir
+
+    def refusing_scandir(path="."):
+        if os.fspath(path) == str(directory):
+            raise denied
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refusing_scandir)
+    return denied
+
+
 class TestBuild:
     def test_happy_path(self, workspace):
         assert main(build_args(workspace)) == 0
@@ -155,6 +169,24 @@ class TestBuild:
         (message,) = [r.getMessage() for r in caplog.records]
         assert message.startswith("skipping caf\udce9.html: name is not UTF-8 (")
         assert (named / "cb.jsonl").read_bytes() == (alone / "cb.jsonl").read_bytes()
+
+    def test_unlistable_subdirectory_is_a_logged_skip(self, tmp_path, caplog, monkeypatch):
+        page = "<p>beach sand beach all day</p>"
+        alone, nested = tmp_path / "alone", tmp_path / "nested"
+        for ws, pages in ((alone, {"a.html": page}), (nested, {"a.html": page, "sub/b.html": "<p>temple</p>"})):
+            write_corpus(ws / "corpus", pages)
+            (ws / "lexicon.tsv").write_text(LEXICON, encoding="utf-8")
+        denied = refuse_listing(monkeypatch, nested / "corpus" / "sub")
+        assert main(build_args(alone)) == 0
+        with caplog.at_level(logging.WARNING, logger="affret"):
+            assert main(build_args(nested)) == 0
+        assert [r.getMessage() for r in caplog.records] == [f"skipping sub/: {denied}"]
+        assert (nested / "cb.jsonl").read_bytes() == (alone / "cb.jsonl").read_bytes()
+
+    def test_unlistable_corpus_is_input_error(self, workspace, capsys, monkeypatch):
+        denied = refuse_listing(monkeypatch, workspace / "corpus")
+        assert main(build_args(workspace)) == 1
+        assert capsys.readouterr().err == f"error: cannot list corpus directory {workspace / 'corpus'}: {denied}\n"
 
 
 class TestQuery:
