@@ -45,12 +45,12 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, zip_longest
 from json.encoder import encode_basestring_ascii as quote
 from operator import neg
 from pathlib import Path
 
-from .affordance import AffordanceVector, compute_block_affordance, compute_doc_affordance, normalize_av
+from .affordance import AffordanceVector, compute_block_affordance, compute_doc_affordance, normalize_av, unit_support
 from .errors import (
     CaseBaseBuildError,
     CaseBaseFormatError,
@@ -63,7 +63,7 @@ from .errors import (
     check_unit_dial,
     read_text,
 )
-from .lexicon import Lexicon, Topic
+from .lexicon import Lexicon, Topic, term_tokens
 from .segmenter import RawDocument, dedupe_sentences, extract_block_text, parse_document, segment_blocks, tokenize
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -346,7 +346,7 @@ def populate_case_base(
         raise InputError(f"corpus directory not found: {corpus_dir}")
     for topic in lexicon.topics:
         for term in sorted(topic.terms):
-            if hits := [word for word in tokenize(term, frozenset()) if word in stop_words]:
+            if hits := [word for word in term_tokens(term) if word in stop_words]:
                 message = "lexicon term %r of topic %r can never match: stop-worded text drops %s"
                 logger.warning(message, term, topic.name, ", ".join(hits))
 
@@ -520,15 +520,19 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
         if not isinstance(doc_id, str):
             raise CaseBaseFormatError(f"{path}: doc_id at line {lineno} is not a string")
         try:
-            prob_desc = record["prob_desc"]
-            if type(prob_desc) is not list:  # dict() would take a JSON object too
+            pairs = record["prob_desc"]
+            if type(pairs) is not list:  # dict() would take a JSON object too
                 raise TypeError("prob_desc is not a list")
-            prob_desc = dict(prob_desc)
+            prob_desc = dict(pairs)
             av = record["av"]
             av_revised = record["av_revised"]
             # one C-level join rejects a term that is not a string, and a sum
             # from 0.0 a value that is not a number or is too large for a float
             "".join(prob_desc)
+            # dict() keeps a repeated term's last weight, which save would not write back
+            if len(prob_desc) != len(pairs):
+                term = next(term for term, n in Counter(term for term, _ in pairs).items() if n > 1)
+                raise ValueError(f"prob_desc lists {term!r} twice")
             weights = prob_desc.values()
             weight_total = sum(weights, 0.0)
             total = sum(av, sum(av_revised, weight_total))
@@ -591,14 +595,20 @@ def load_case_base(path: str | Path, lexicon: Lexicon | None = None) -> CaseBase
 
 
 def _first_difference(built: Lexicon, active: Lexicon) -> str:
-    """The first topic, by position, that two lexicons hold differently, and its one-sided terms."""
-    for i, (ours, theirs) in enumerate(zip(built.topics, active.topics), start=1):
+    """The first topic, by position, that two lexicons hold differently, and its one-sided terms.
+
+    A topic past the end of the shorter lexicon is "no topic" on that side.
+    """
+    for i, (ours, theirs) in enumerate(zip_longest(built.topics, active.topics), start=1):
         if ours != theirs:
-            ours_name, theirs_name = (repr(t.name) + " (catch-all)" * t.miscellaneous for t in (ours, theirs))
+            ours_name, theirs_name = (
+                "no topic" if t is None else repr(t.name) + " (catch-all)" * t.miscellaneous for t in (ours, theirs)
+            )
+            ours_terms, theirs_terms = (frozenset() if t is None else t.terms for t in (ours, theirs))
             return (
                 f": topic {i} is {ours_name} in the case base and {theirs_name} in the active lexicon;"
-                f" terms only in the case base {sorted(ours.terms - theirs.terms)},"
-                f" only in the active lexicon {sorted(theirs.terms - ours.terms)}"
+                f" terms only in the case base {sorted(ours_terms - theirs_terms)},"
+                f" only in the active lexicon {sorted(theirs_terms - ours_terms)}"
             )
     return ""
 
@@ -627,8 +637,9 @@ def revise_case_affordance(cases: list[Case], query_av: AffordanceVector, eta: f
     Every case's dimension is checked before any case moves, so a mismatch
     raises ``DimensionError`` and leaves the whole pool as it was.
 
-    The whole pool moves along one direction: ``unit(query_av)`` and the
-    components it names are computed once per call. Only those components
+    The whole pool moves along one direction, the components of
+    ``unit(query_av)`` that ``affordance.unit_support`` names, taken once
+    per call. Only those components
     move, and only they are rounded to 12 digits; the others are carried as
     held (``v + 0.0`` is ``v``, and every value affret writes is already
     12-digit). Cases are revised in pool order, so a case listed twice takes
@@ -643,8 +654,7 @@ def revise_case_affordance(cases: list[Case], query_av: AffordanceVector, eta: f
             raise DimensionError(f"dimension mismatch: {m} vs {len(case.av_revised)}")
     if eta == 0.0:
         return
-    direction = normalize_av(query_av)
-    support = [(j, d) for j, d in enumerate(direction) if d]
+    _, support = unit_support(query_av)
     for case in cases:
         av = case.av_revised
         scale = eta * math.hypot(*av)
@@ -656,10 +666,7 @@ def revise_case_affordance(cases: list[Case], query_av: AffordanceVector, eta: f
         if not (math.isfinite(scale) and all(map(math.isfinite, revised))):
             # cosine reads only the direction, and the step is scale-invariant
             peak = max(map(abs, av))
-            revised = _step([v / peak for v in av], direction, eta)
+            av = [v / peak for v in av]
+            scale = eta * math.hypot(*av)
+            revised = [round12(v + scale * d) for v, d in zip(av, normalize_av(query_av))]
         case.av_revised = revised
-
-
-def _step(av: AffordanceVector, direction: AffordanceVector, eta: float) -> AffordanceVector:
-    scale = eta * math.hypot(*av)
-    return [round12(v + scale * d) for v, d in zip(av, direction)]

@@ -26,6 +26,7 @@ from .segmenter import tokenize
 from .stopwords import DEFAULT_STOPWORDS
 
 _TOP_BLOCK = re.compile(r"<top>(.*?)</top>", re.DOTALL | re.IGNORECASE)
+_TOP_OPEN = re.compile(r"<top>", re.IGNORECASE)
 _FIELD = {
     name: re.compile(rf"<{name}>(.*?)(?=</{name}>|<num>|<title>|<desc>|<narr>|$)", re.DOTALL | re.IGNORECASE)
     for name in ("num", "title", "desc")
@@ -66,21 +67,35 @@ def _field_text(block: str, name: str) -> str:
     return match.group(1).strip() if match else ""
 
 
+def _topic_num(block: str) -> str:
+    return re.sub(r"^number\s*:\s*", "", _field_text(block, "num"), flags=re.IGNORECASE).strip()
+
+
 def load_queries(path: str | Path, stop_words: frozenset[str] = DEFAULT_STOPWORDS) -> list[Query]:
     """Parse a topic file of <top> blocks with num/title and optional desc.
 
     Titles run through the same tokenizer as document text; a query whose
     title is empty after stop-wording cannot be served and is rejected. A
-    <narr> field is skipped: it only ends the field before it.
+    <narr> field is skipped: it only ends the field before it. Unclosed
+    <num>, <title> and <desc> fields are read, but a <top> with no </top>
+    before the next <top> or the end of the file is rejected.
     """
-    blocks = _TOP_BLOCK.findall(read_text(path, QueryFormatError))
+    text = read_text(path, QueryFormatError)
+    blocks = _TOP_BLOCK.findall(text)
+    openings = [m.start() for m in _TOP_OPEN.finditer(text)]
+    # the lazy match runs an unclosed topic into the next one, or skips it at the end
+    if len(openings) != len(blocks):
+        for start, end in zip(openings, [*openings[1:], len(text)]):
+            topic = text[start:end]
+            if "</top>" not in topic.lower():
+                line = text.count("\n", 0, start) + 1
+                raise QueryFormatError(f"{path}: line {line}: topic {_topic_num(topic)!r} has no </top>")
     if not blocks:
         raise QueryFormatError(f"{path}: no <top> blocks found")
     queries: list[Query] = []
     seen: set[str] = set()
     for block in blocks:
-        num = _field_text(block, "num")
-        num = re.sub(r"^number\s*:\s*", "", num, flags=re.IGNORECASE).strip()
+        num = _topic_num(block)
         if not num:
             raise QueryFormatError(f"{path}: topic without a <num> identifier")
         if num in seen:

@@ -9,9 +9,10 @@ File format, one topic per line, ``#`` comments allowed:
 occurrences matching no other topic. Topic order is significant: element i of
 every affordance vector refers to topic i for the life of a case base.
 
-Terms are split by ``segmenter.tokenize`` with no stop words, so every word
-is kept; text is stop-worded before matching, so a term holding a stop word
-never matches (``populate_case_base`` warns of each).
+``term_tokens`` is the one rule for splitting a term: ``segmenter.tokenize``
+with no stop words, so every word is kept. Text is stop-worded before
+matching, so a term holding a stop word never matches (``populate_case_base``
+warns of each).
 
 Matching is compiled: on first use every topic's terms go into one table
 from token n-gram to the ids of the topics holding it, so a block is matched
@@ -32,8 +33,8 @@ from .errors import LexiconFormatError, read_text
 from .segmenter import tokenize
 
 
-def _term_tokens(term: str) -> tuple[str, ...]:
-    # no stop words: a term is kept whole, whatever words it holds
+def term_tokens(term: str) -> tuple[str, ...]:
+    """The tokens of a lexicon term; no stop words, so it is kept whole, whatever words it holds."""
     return tuple(tokenize(term, frozenset()))
 
 
@@ -61,7 +62,7 @@ class _PhraseTable:
         owners: dict[tuple[str, ...], list[int]] = {}
         for i, topic in enumerate(topics):
             # a set, so two spellings of one term count once per topic
-            for toks in {_term_tokens(term) for term in topic.terms}:
+            for toks in {term_tokens(term) for term in topic.terms}:
                 owners.setdefault(toks, []).append(i)
         # a term without word characters can never match a token
         owners.pop((), None)
@@ -152,7 +153,7 @@ def _canonical_terms(raw_terms: str, where: str) -> frozenset[str]:
         piece = piece.strip()
         if not piece:
             continue
-        toks = _term_tokens(piece)
+        toks = term_tokens(piece)
         if not toks:
             raise LexiconFormatError(f"{where}: term {piece!r} has no word characters")
         terms.add(" ".join(toks))

@@ -172,7 +172,7 @@ class _Accumulator:
 
     def __init__(self, tag: str, depth: int):
         self.tag = tag  # the opening tag; "" for the synthetic block
-        self.depth = depth  # stack index of the frame that opened it
+        self.depth = depth  # stack index of the frame that opened it; the synthetic block owns frame 0
         self.segments: list[tuple[str, bool]] = []
         self.counts = [0, 0]  # visible characters: [unlinked, linked]
 
@@ -184,29 +184,18 @@ class _BlockWalker(HTMLParser):
         super().__init__(convert_charrefs=True)
         # stack frames: (tag, nearest open segmenting accumulator). A segmenting
         # frame carries its own, any other frame the one of the frame below it.
-        # Frames are pushed and cut off at the top only, so each keeps its index.
-        self.stack: list[tuple[str, _Accumulator]] = []
+        # Frames are pushed and cut off at the top only, so each keeps its index;
+        # frame 0, the synthetic block's, is never cut off.
         self.accumulators: list[_Accumulator] = []
         self.synthetic = _Accumulator("", 0)
+        self.stack: list[tuple[str, _Accumulator]] = [("", self.synthetic)]
         self.anchor_depth = 0
         self.invisible_depth = 0
-
-    def _target(self) -> _Accumulator:
-        return self.stack[-1][1] if self.stack else self.synthetic
-
-    def _append(self, text: str):
-        if self.invisible_depth == 0 and text:
-            acc = self._target()
-            linked = self.anchor_depth > 0
-            acc.segments.append((text, linked))
-            # str.split splits on exactly the characters regex \s matches
-            # (str.isspace), so this counts the non-whitespace characters
-            acc.counts[linked] += len("".join(text.split()))
 
     def _break(self):
         # unlinked, so every rendering keeps it; it counts no character
         if self.invisible_depth == 0:
-            self._target().segments.append((BREAK_MARK, False))
+            self.stack[-1][1].segments.append((BREAK_MARK, False))
 
     def handle_starttag(self, tag, attrs):
         if tag in INVISIBLE_TAGS:
@@ -218,7 +207,7 @@ class _BlockWalker(HTMLParser):
         if tag in SEGMENT_TAGS:
             # A new segmenting element closes an open <p>: paragraphs do not
             # nest, and real pages rely on that implicit close.
-            nearest = self._target()
+            nearest = self.stack[-1][1]
             if nearest.tag == "p":
                 del self.stack[nearest.depth :]
             # The nested element is a paragraph boundary in its parent's flow.
@@ -230,7 +219,7 @@ class _BlockWalker(HTMLParser):
         if tag in BREAK_TAGS:
             self._break()
         if tag not in VOID_TAGS:
-            self.stack.append((tag, self._target()))
+            self.stack.append((tag, self.stack[-1][1]))
 
     def handle_endtag(self, tag):
         if tag in INVISIBLE_TAGS:
@@ -241,7 +230,7 @@ class _BlockWalker(HTMLParser):
             return
         if tag in BREAK_TAGS:
             self._break()
-        for i in range(len(self.stack) - 1, -1, -1):
+        for i in range(len(self.stack) - 1, 0, -1):
             if self.stack[i][0] == tag:
                 del self.stack[i:]
                 if tag in SEGMENT_TAGS:
@@ -250,7 +239,14 @@ class _BlockWalker(HTMLParser):
         # stray end tag: ignore
 
     def handle_data(self, data):
-        self._append(data.replace(BREAK_MARK, ""))
+        text = data.replace(BREAK_MARK, "")
+        if self.invisible_depth == 0 and text:
+            acc = self.stack[-1][1]
+            linked = self.anchor_depth > 0
+            acc.segments.append((text, linked))
+            # str.split splits on exactly the characters regex \s matches
+            # (str.isspace), so this counts the non-whitespace characters
+            acc.counts[linked] += len("".join(text.split()))
 
     def walk(self, markup: str):
         """Call the handlers the stdlib would for ``markup``, reading the subset itself.

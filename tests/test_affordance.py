@@ -85,6 +85,7 @@ def sum_outcome(compute, avs):
         return str(exc)
 
 
+@pytest.mark.differential
 class TestDocAffordanceMatchesOracle:
     """The per-block C-level add against the per-component loop it replaced, bit for bit."""
 
@@ -208,6 +209,7 @@ def sparse_pairs(draw):
     return query, draw(st.lists(components, min_size=m, max_size=m), label="vector")
 
 
+@pytest.mark.differential
 class TestCosineMatchesOracle:
     """The support-only cosine against the dense one it replaced, bit for bit and by type."""
 

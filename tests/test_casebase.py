@@ -202,6 +202,7 @@ def described_pages(draw, k: int) -> list[tuple[str, dict[str, int], list[Counte
     return described
 
 
+@pytest.mark.differential
 class TestSelectionMatchesOracle:
     """Pass 2's memos and small-block shortcut against every block ranked and every weight rounded on its own."""
 
@@ -462,6 +463,7 @@ class TestCorpusDiscovery:
             pass
         return root, sorted(ids)
 
+    @pytest.mark.differential
     def test_doc_ids_match_the_rglob_rule(self, tree):
         root, ids = tree
         listed = casebase._corpus_files(root)
@@ -558,8 +560,13 @@ class TestPersistence:
                 "(m=3, active m=3): topic 2 is 'Spirituality' in the case base and 'Miscellaneous' (catch-all)"
                 " in the active lexicon; terms only in the case base ['temple'], only in the active lexicon []",
             ),
+            (
+                lambda beaches, temple, misc: [beaches, temple],
+                "(m=3, active m=2): topic 3 is 'Miscellaneous' (catch-all) in the case base and no topic"
+                " in the active lexicon; terms only in the case base [], only in the active lexicon []",
+            ),
         ],
-        ids=["one-extra-term", "moved-catch-all"],
+        ids=["one-extra-term", "moved-catch-all", "dropped-catch-all"],
     )
     def test_mismatch_names_the_first_differing_topic(self, small_case_base, tmp_path, lexicon3, edit, message):
         path = tmp_path / "cb.jsonl"
@@ -739,6 +746,7 @@ def copied_cases(cb: CaseBase) -> list[Case]:
     return [Case(c.doc_id, dict(c.prob_desc), list(c.av), list(c.av_revised)) for c in cb.cases]
 
 
+@pytest.mark.differential
 class TestSaveMatchesOracle:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -798,6 +806,7 @@ class TestSaveMatchesOracle:
         assert new.read_bytes() == reference.read_bytes()
 
 
+@pytest.mark.differential
 class TestLoadDecodePaths:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -920,6 +929,7 @@ class TestReviseCaseAffordance:
         assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.differential
 class TestReviseMatchesOracle:
     """The pool's support-only feedback step against the dense per-case one it replaced, bit for bit and by type."""
 

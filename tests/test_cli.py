@@ -426,6 +426,11 @@ def _all_integer_case(records):
     records[1]["av_revised"] = [1, 1, 0]
 
 
+def _repeated_term(records):
+    term, _ = records[1]["prob_desc"][0]
+    records[1]["prob_desc"].append([term, 9.0])
+
+
 def _stats_among_cases(records):
     records.insert(2, records[-2])
 
@@ -526,6 +531,7 @@ class TestMalformedCaseBase:
             (_wrap_case("", "\xa0"), "line 2 is not valid JSON (Extra data"),
             (_set_case_line([1, 2]), "line 2 is not an object"),
             (_set_case_line("a.html"), "line 2 is not an object"),
+            (_repeated_term, "malformed case at line 2 (prob_desc lists 'beach' twice)"),
         ],
         ids=[
             "no-df", "list-df", "nameless-topic", "list-doc-id", "surrogate-doc-id", "m-str", "m-float", "m-bool", "N-str", "N-null",
@@ -535,7 +541,7 @@ class TestMalformedCaseBase:
             "weight-true", "weight-too-large", "weight-too-negative", "df-float", "stats-N-str", "stats-among-cases", "case-after-lexicon", "no-stats",
             "k-terms-float", "topic-name-int", "topic-terms-str", "topic-miscellaneous-int", "surrogate-lexicon-term",
             "deeply-nested-case", "bom-case", "text-after-case", "two-cases-on-a-line", "no-break-space-after-case",
-            "array-case", "string-case",
+            "array-case", "string-case", "repeated-term",
         ],
     )
     def test_malformed_record_is_a_format_error(self, workspace, capsys, edit, message):

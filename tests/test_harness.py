@@ -106,6 +106,28 @@ class TestLoadQueries:
         with pytest.raises(QueryFormatError):
             load_queries(path)
 
+    @pytest.mark.parametrize(
+        "blocks, line, num",
+        [
+            # the lazy match would read both topics as Q1 alone
+            (["<TOP>\n<num> Q1\n<title> beach", topic_block("Q2", "temple")], 1, "Q1"),
+            # and would skip a trailing unclosed topic
+            ([topic_block("Q1", "beach"), "<top>\n<num> Number: Q2\n<title> temple"], 5, "Q2"),
+            (["<top>\n<num> Q1\n<title> beach"], 1, "Q1"),
+        ],
+        ids=["runs-into-next", "trailing", "only"],
+    )
+    def test_unclosed_topic_rejected(self, tmp_path, blocks, line, num):
+        path = write_queries(tmp_path, blocks)
+        message = f"line {line}: topic {num!r} has no </top>"
+        with pytest.raises(QueryFormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+            load_queries(path)
+
+    def test_unclosed_fields_accepted(self, tmp_path):
+        path = write_queries(tmp_path, ["<top>\n<num> Number: 401\n<title> beach trip\n<desc> sunny beaches\n</top>"])
+        (query,) = load_queries(path)
+        assert (query.query_id, query.title, query.desc) == ("401", ["beach", "trip"], ["sunny", "beaches"])
+
 
 class TestLoadQrels:
     def test_triples_parsed(self, tmp_path):
@@ -156,6 +178,7 @@ class TestCompareRankings:
         with pytest.raises(InputError):
             compare_rankings(["a", "a"], ["a", "a"])
 
+    @pytest.mark.differential
     @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_implementation(self, n, seed):
@@ -172,6 +195,7 @@ class TestCompareRankings:
 doc_ids = st.text(st.sampled_from("ab7 éßж京🙂"), min_size=1, max_size=4)
 
 
+@pytest.mark.differential
 class TestKendallMatchesOracle:
     """Discordant pairs counted in C against both kinds counted one by one, bit for bit."""
 
@@ -300,6 +324,7 @@ class TestRunExperiment:
         assert sum(map(len, pools.values())) == 5
         assert calls == (list(pools.values()) if eta else [])
 
+    @pytest.mark.differential
     def test_feedback_equals_per_candidate_revisions(self, tmp_path, lexicon3):
         rng = random.Random(7)
         pages = {

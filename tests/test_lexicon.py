@@ -199,6 +199,7 @@ class TestProperties:
         after = lex.match_counts(tokens + [extra])
         assert all(b >= a for a, b in zip(before, after))
 
+    @pytest.mark.differential
     @given(phrase_lexicon_and_tokens())
     @settings(max_examples=200, deadline=None)
     def test_compiled_matcher_matches_per_topic_scans(self, pair):

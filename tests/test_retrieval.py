@@ -317,6 +317,7 @@ def identities(pool):
     return [(id(c.case), c.baseline_score.hex()) for c in pool]
 
 
+@pytest.mark.differential
 class TestRetrieveMatchesOracle:
     @given(
         tied_case_bases(),
@@ -394,6 +395,7 @@ def weighted_case_bases(draw):
     )
 
 
+@pytest.mark.differential
 class TestIndexMatchesOracle:
     @given(
         weighted_case_bases(),

@@ -226,6 +226,7 @@ class TestDedupeSentences:
             once = dedupe_sentences(extract_block_text(block, 0.5))
             assert dedupe_sentences(once) == once
 
+    @pytest.mark.differential
     @given(dedupe_texts())
     @settings(max_examples=1000, deadline=None)
     @example(".!?\nA b c d e.\n?!.")  # delimiters at both ends, around a 5-token sentence
@@ -258,6 +259,7 @@ def collapse(tokens: list[str], min_len: int = 3) -> list[str]:
 
 
 class TestCollapseRepeatedPhrases:
+    @pytest.mark.differential
     @given(tokens_with_repeats(), st.sampled_from([3, 3, 1, 2, 4]))
     @settings(max_examples=400, deadline=None)
     def test_matches_reference(self, tokens, min_len):
@@ -293,6 +295,7 @@ _RENDER_SEGMENT = st.one_of(
 )
 
 
+@pytest.mark.differential
 class TestRenderMatchesReference:
     @given(st.lists(_RENDER_SEGMENT, max_size=12), st.booleans())
     @settings(max_examples=1000, deadline=None)
@@ -337,6 +340,7 @@ class TestTokenize:
     # letters, digits, the underscore, characters whose case folding grows
     # (ß, İ), a digit that is not decimal (²), a combining mark,
     # punctuation and boundary marks, beside every whitespace that render sees
+    @pytest.mark.differential
     @given(
         st.text(
             alphabet=st.sampled_from(["a", "Q", "7", "_", "ß", "İ", "\u0301", "²", ".", "-", "'", BREAK_MARK, *_WHITESPACE]),
@@ -422,6 +426,7 @@ def segmentation_view(block):
     )
 
 
+@pytest.mark.differential
 class TestSegmentationMatchesReference:
     def assert_matches(self, markup):
         try:
@@ -520,6 +525,7 @@ HANDMADE_PAGE = (
 )
 
 
+@pytest.mark.differential
 class TestWalk:
     @given(st.one_of(tag_soup, st.tuples(subset_page, tag_soup).map("".join)))
     @example("<p>a&am")
